@@ -102,14 +102,24 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Decode a checkpoint; raises CheckpointError, naming the path, on a
+    bad magic or version, a truncated or oversized file, non-finite weights
+    or biases, or nonzero live weights under a False mask."""
     data = Path(path).read_bytes()
+    if len(data) < 16:
+        raise CheckpointError(f"{path}: truncated: {len(data)} bytes")
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic")
     version = int(np.frombuffer(data[8:12], dtype="<u4")[0])
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     hlen = int(np.frombuffer(data[12:16], dtype="<u4")[0])
-    header = json.loads(data[16:16 + hlen].decode("utf-8"))
+    if 16 + hlen > len(data):
+        raise CheckpointError(f"{path}: truncated inside the header")
+    try:
+        header = json.loads(data[16:16 + hlen].decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: corrupt header: {e}") from None
     spec = NetworkSpec(
         layers=tuple(_layer_from_dict(d) for d in header["layers"]),
         input_shape=tuple(header["input_shape"]),
@@ -117,19 +127,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
     off = 16 + hlen
 
-    def read_f8(shape: tuple[int, ...]) -> np.ndarray:
+    def read(shape: tuple[int, ...], dtype) -> np.ndarray:
         nonlocal off
         n = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=off)
-        off += n * 8
-        return arr.astype(np.float64).reshape(shape)
+        end = off + n * np.dtype(dtype).itemsize
+        if end > len(data):
+            raise CheckpointError(
+                f"{path}: truncated inside the payload "
+                f"({len(data)} bytes, at least {end} expected)")
+        arr = np.frombuffer(data, dtype=dtype, count=n, offset=off)
+        off = end
+        return arr.reshape(shape)
 
-    def read_mask(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal off
-        n = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype=np.uint8, count=n, offset=off)
-        off += n
-        return arr.astype(bool).reshape(shape)
+    def read_f8(shape: tuple[int, ...]) -> np.ndarray:
+        arr = read(shape, "<f8").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: non-finite weights or biases")
+        return arr
 
     ws, bs = [], []
     for l in spec.layers:
@@ -138,7 +152,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     weights = WeightSet(ws, bs)
     masks = None
     if header["has_masks"]:
-        masks = [read_mask(l.weight_shape()) for l in spec.layers]
+        masks = [read(l.weight_shape(), np.uint8).astype(bool)
+                 for l in spec.layers]
+        for i, (w, m) in enumerate(zip(ws, masks)):
+            if np.any(w[~m] != 0.0):
+                raise CheckpointError(
+                    f"{path}: layer {i} has nonzero weights under a False mask")
     initial = None
     if header["has_initial"]:
         pairs = [(read_f8(l.weight_shape()), read_f8(l.bias_shape()))

@@ -11,6 +11,17 @@ threshold away from the last transmitted value (a hysteresis gate: the
 comparison point is the last *sent* value, so sub-threshold residue is never
 discarded).
 
+Events are scattered, not replayed through a dense layer. A dense layer
+keeps its masked weights as one (in, out) C-order array, so the rows of the
+fired inputs are contiguous and a step costs ``deltas @ w_in_out[idx]``. A
+conv layer looks each fired input position up in a footprint table (the
+output positions it touches and the kernel column used at each, see
+``_conv_footprint``), writes the deltas into an im2col-style column block
+restricted to the affected output positions, and adds one
+``(F, C*Ky*Kx) @ (C*Ky*Kx, n_affected)`` product into the accumulator at
+those positions only. At full event density this is exactly the im2col
+GEMM of the dense pass, so there is no fallback path.
+
 Timestep semantics are synchronous: a layer absorbs every event of the
 current step before its neurons decide whether to fire, which makes outputs
 and counters independent of event ordering. On the very first step each
@@ -31,22 +42,14 @@ two coincide.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .network import NetworkSpec, WeightSet, conv2d_single
-from .tensorops import relu
-
-
-class DeltaEvent(NamedTuple):
-    """One transmitted change: which layer fired, which neuron, how much."""
-
-    timestep: int
-    layer: str
-    neuron: int
-    delta: float
+from .tensorops import check_finite, relu
 
 
 class OpCounter:
@@ -122,6 +125,8 @@ class DeltaNetwork:
                  masks: Sequence[np.ndarray] | None = None,
                  trace: IO[str] | None = None):
         weights.validate(spec)
+        for arr in (*weights.weights, *weights.biases):
+            check_finite(arr)
         self.spec = spec
         self.input_threshold, per_layer_t = resolve_thresholds(
             spec, thresholds, input_threshold)
@@ -129,26 +134,37 @@ class DeltaNetwork:
         self._names = spec.layer_names()
         self._out_shapes = spec.output_shapes()
 
+        # masked weights, one copy each; a dense layer's copy is stored
+        # (in, out) C-order and w_masked holds its (out, in) transpose view
         self.w_masked: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for i, layer in enumerate(spec.layers):
-            w = weights.weights[i]
-            if masks is not None:
-                w = np.where(masks[i], w, 0.0)
+            keep = None if masks is None else np.asarray(masks[i], dtype=bool)
+            if layer.kind == "conv2d":
+                w = weights.weights[i].copy()
+                if keep is not None:
+                    w[~keep] = 0.0
             else:
-                w = w.copy()
+                w_in_out = np.ascontiguousarray(weights.weights[i].T)
+                if keep is not None:
+                    w_in_out[~keep.T] = 0.0
+                w = w_in_out.T
             self.w_masked.append(w)
             self.biases.append(weights.biases[i].copy())
 
-        # event cost tables: significant multiplications caused by one event
-        # arriving at a given input position of each layer
+        # per conv layer: its footprint table; per layer: event cost tables,
+        # the significant multiplications one event at each input causes
+        self._footprints: list[tuple[np.ndarray, np.ndarray] | None] = []
         self._event_costs: list[np.ndarray] = []
         in_shape: tuple[int, ...] = spec.input_shape
         for i, layer in enumerate(spec.layers):
             if layer.kind == "conv2d":
+                self._footprints.append(_conv_footprint(
+                    self.w_masked[i].shape[1:], in_shape, layer.stride))
                 self._event_costs.append(
                     conv_event_costs(self.w_masked[i], in_shape, layer.stride))
             else:
+                self._footprints.append(None)
                 self._event_costs.append(
                     np.count_nonzero(self.w_masked[i], axis=0).astype(np.int64))
             in_shape = self._out_shapes[i]
@@ -180,6 +196,7 @@ class DeltaNetwork:
         if frame.shape != self.spec.input_shape:
             raise ValueError(
                 f"frame shape {frame.shape} != {self.spec.input_shape}")
+        check_finite(frame)
         t = self.counter.timesteps
 
         d_in = frame - self.input_prev
@@ -192,17 +209,14 @@ class DeltaNetwork:
         if self.trace is not None:
             self._write_trace(t, "Input", idx, deltas)
 
-        in_shape: tuple[int, ...] = self.spec.input_shape
         for k, layer in enumerate(self.spec.layers):
             st = self.layers[k]
             self.counter.events_received[k + 1] += idx.size
             if idx.size:
                 if layer.kind == "conv2d":
-                    dimg = np.zeros(in_shape)
-                    dimg.ravel()[idx] = deltas
-                    st.o += conv2d_single(dimg, self.w_masked[k], None, layer.stride)
+                    self._scatter_conv(k, idx, deltas)
                 else:
-                    st.o += self.w_masked[k][:, idx] @ deltas
+                    st.o += deltas @ self.w_masked[k].T[idx]
                 self.counter.significant_multiplications[k + 1] += int(
                     self._event_costs[k].ravel()[idx].sum())
 
@@ -221,15 +235,30 @@ class DeltaNetwork:
             else:
                 idx = np.empty(0, dtype=np.intp)
                 deltas = np.empty(0)
-            in_shape = self._out_shapes[k]
 
         self._first_step = False
         self.counter.timesteps += 1
         return self.layers[-1].x_prev.ravel().copy()
 
-    def output(self) -> np.ndarray:
-        """Current transmitted output vector without advancing time."""
-        return self.layers[-1].x_prev.ravel().copy()
+    def _scatter_conv(self, k: int, idx: np.ndarray, deltas: np.ndarray) -> None:
+        """Add the effect of input events (idx, deltas) to conv layer k's
+        accumulator, at the output positions the events touch only."""
+        out_pos, kcol = self._footprints[k]
+        w2 = self.w_masked[k].reshape(self.w_masked[k].shape[0], -1)
+        o2 = self.layers[k].o.reshape(w2.shape[0], -1)
+        n_out, n_col = o2.shape[1], w2.shape[1]
+        pos, col = out_pos[idx], kcol[idx]
+        mark = np.zeros(n_out + 1, dtype=bool)
+        mark[pos] = True
+        affected = np.flatnonzero(mark[:n_out])
+        # column of each affected position in the block; unused slots land
+        # in a spare row and column that the product leaves out
+        slot = np.empty(n_out + 1, dtype=np.intp)
+        slot[affected] = np.arange(affected.size)
+        slot[n_out] = affected.size
+        block = np.zeros((n_col + 1, affected.size + 1))
+        block[col, slot[pos]] = deltas[:, None]
+        o2[:, affected] += w2 @ block[:n_col, :affected.size]
 
     def resync(self) -> None:
         """Recompute every accumulator from the transmitted values upstream,
@@ -258,26 +287,52 @@ def conv_event_costs(w_masked: np.ndarray, in_shape: tuple[int, int, int],
     triggers in a conv layer: the number of nonzero kernel weights (over all
     filters) at kernel offsets that actually map to a valid output position.
     Border positions touch fewer offsets."""
-    f, c, ky, kx = w_masked.shape
+    f = w_masked.shape[0]
+    _, kcol = _conv_footprint(w_masked.shape[1:], tuple(in_shape), stride)
+    nnz = np.count_nonzero(w_masked.reshape(f, -1), axis=0).astype(np.int64)
+    # the spare kernel column of unused slots costs nothing
+    return np.append(nnz, 0)[kcol].sum(axis=1).reshape(in_shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _conv_footprint(kernel_shape: tuple[int, int, int],
+                    in_shape: tuple[int, int, int],
+                    stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Footprint of every input position of a valid conv with (C, Ky, Kx)
+    kernels: for flat input index p, out_pos[p, j] is a spatial output index
+    (oy * out_w + ox) the position feeds and kcol[p, j] the kernel column
+    (c * Ky + ky) * Kx + kx that multiplies it there. Each row has
+    ceil(Ky/s) * ceil(Kx/s) slots; unused slots hold out_h * out_w and
+    C * Ky * Kx. The arrays are int32 (half the memory of intp), read-only
+    and shared between engines."""
+    c, ky, kx = kernel_shape
     _, h, w = in_shape
     out_h = (h - ky) // stride + 1
     out_w = (w - kx) // stride + 1
-    nnz_k = np.count_nonzero(w_masked, axis=0).astype(np.int64)  # (C, Ky, Kx)
-    row_sel = _offset_selector(h, ky, stride, out_h)             # (H, Ky)
-    col_sel = _offset_selector(w, kx, stride, out_w)             # (W, Kx)
-    return np.einsum("yk,ckl,xl->cyx", row_sel, nnz_k, col_sel)
 
+    def axis(size: int, kernel: int, out_size: int):
+        # per position and slot: output index, kernel offset, validity
+        pos = np.arange(size)[:, None]
+        o = pos // stride - np.arange(-(-kernel // stride))[None, :]
+        k = pos - o * stride
+        return o, k, (o >= 0) & (o < out_size) & (k < kernel)
 
-def _offset_selector(size: int, kernel: int, stride: int, out_size: int) -> np.ndarray:
-    """sel[pos, k] == 1 iff kernel offset k maps position pos to some valid
-    output index (pos - k divisible by stride and within [0, out_size))."""
-    sel = np.zeros((size, kernel), dtype=np.int64)
-    for pos in range(size):
-        lo = max(0, -(-(pos - kernel + 1) // stride))  # ceil division
-        hi = min(out_size - 1, pos // stride)
-        for o in range(lo, hi + 1):
-            sel[pos, pos - o * stride] = 1
-    return sel
+    oy, kyy, vy = axis(h, ky, out_h)
+    ox, kxx, vx = axis(w, kx, out_w)
+    # broadcast to (C, H, W, slots_y, slots_x)
+    oy, kyy, vy = (a[None, :, None, :, None] for a in (oy, kyy, vy))
+    ox, kxx, vx = (a[None, None, :, None, :] for a in (ox, kxx, vx))
+    ch = np.arange(c)[:, None, None, None, None]
+    valid = vy & vx
+    out_pos = np.where(valid, oy * out_w + ox, out_h * out_w)
+    kcol = np.where(valid, (ch * ky + kyy) * kx + kxx, c * ky * kx)
+    n_slots = oy.shape[3] * ox.shape[4]
+    tables = tuple(np.ascontiguousarray(a.reshape(c * h * w, n_slots),
+                                        dtype=np.int32)
+                   for a in (np.broadcast_to(out_pos, kcol.shape), kcol))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def measure_delta_sparsity(counter: OpCounter, spec: NetworkSpec) -> dict[str, float]:
@@ -291,12 +346,3 @@ def measure_delta_sparsity(counter: OpCounter, spec: NetworkSpec) -> dict[str, f
     for name, n, sent in zip(counter.layer_names, sizes, counter.events_sent):
         out[name] = 1.0 - float(sent) / (n * counter.timesteps)
     return out
-
-
-def init_state(spec: NetworkSpec, weights: WeightSet,
-               thresholds: float | Sequence[float],
-               input_threshold: float | None = None,
-               masks: Sequence[np.ndarray] | None = None) -> DeltaNetwork:
-    """Construct a ready-to-step DeltaNetwork (accumulators at the bias,
-    transmitted values at zero)."""
-    return DeltaNetwork(spec, weights, thresholds, input_threshold, masks)

@@ -80,3 +80,54 @@ def test_file_bytes_deterministic(setup):
     save_checkpoint(tmp / "x1.ckpt", spec, w, extra={"k": 1})
     save_checkpoint(tmp / "x2.ckpt", spec, w, extra={"k": 1})
     assert (tmp / "x1.ckpt").read_bytes() == (tmp / "x2.ckpt").read_bytes()
+
+
+def test_truncation_names_the_path(setup):
+    tmp, spec, w, _ = setup
+    path = tmp / "t.ckpt"
+    save_checkpoint(path, spec, w, extra={"note": "x" * 40})
+    raw = path.read_bytes()
+    hlen = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+    cuts = {"prefix": 10, "header": 16 + hlen // 2,
+            "payload-start": 16 + hlen + 3, "payload-end": len(raw) - 5}
+    for where, n in cuts.items():
+        cut = tmp / f"cut-{where}.ckpt"
+        cut.write_bytes(raw[:n])
+        with pytest.raises(CheckpointError, match="truncated") as err:
+            load_checkpoint(cut)
+        assert str(cut) in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_values_rejected(setup, bad):
+    tmp, spec, w, _ = setup
+    weights = w.copy()
+    weights.weights[1][2, 3] = bad
+    save_checkpoint(tmp / "w.ckpt", spec, weights)
+    biases = w.copy()
+    biases.biases[0][1] = bad
+    save_checkpoint(tmp / "b.ckpt", spec, biases)
+    initial = w.copy()
+    initial.weights[0][0, 0, 1, 1] = bad
+    masks = [np.ones(l.weight_shape(), dtype=bool) for l in spec.layers]
+    save_checkpoint(tmp / "i.ckpt", spec, w, masks=masks, initial=initial)
+    for name in ("w.ckpt", "b.ckpt", "i.ckpt"):
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(tmp / name)
+
+
+def test_live_weight_under_false_mask_rejected(setup):
+    tmp, spec, w, rng = setup
+    masks = [rng.random(l.weight_shape()) < 0.5 for l in spec.layers]
+    clean = w.copy()
+    for cw, m in zip(clean.weights, masks):
+        cw[~m] = 0.0
+    save_checkpoint(tmp / "ok.ckpt", spec, clean, masks=masks, initial=w)
+    load_checkpoint(tmp / "ok.ckpt")
+    dirty = clean.copy()
+    k = np.argwhere(~masks[2])[0]
+    dirty.weights[2][tuple(k)] = 0.25
+    save_checkpoint(tmp / "dirty.ckpt", spec, dirty, masks=masks, initial=w)
+    with pytest.raises(CheckpointError, match="False mask") as err:
+        load_checkpoint(tmp / "dirty.ckpt")
+    assert "layer 2" in str(err.value)

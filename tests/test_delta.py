@@ -370,3 +370,156 @@ class TestEventCosts:
                             if 0 <= ky < 3 and 0 <= kx < 3:
                                 n += int(np.count_nonzero(w[:, c, ky, kx]))
                     assert costs[c, y, x] == n
+
+
+class TestNonFinite:
+    def test_nonfinite_weight_or_bias_rejected(self):
+        rng = np.random.default_rng(19)
+        spec, w = random_net(rng)
+        bad = w.copy()
+        bad.weights[0][1, 0, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            DeltaNetwork(spec, bad, thresholds=0.0)
+        bad = w.copy()
+        bad.biases[1][3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            DeltaNetwork(spec, bad, thresholds=0.0)
+
+    def test_nonfinite_frame_rejected(self):
+        rng = np.random.default_rng(20)
+        spec, w = random_net(rng)
+        dn = DeltaNetwork(spec, w, thresholds=0.0)
+        frame = rng.normal(size=spec.input_shape)
+        dn.step(frame)
+        frame[0, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dn.step(frame)
+
+
+def conv(c, f, ky, kx, stride, activation="relu"):
+    return LayerSpec("conv2d", in_channels=c, out_filters=f, kernel_y=ky,
+                     kernel_x=kx, stride=stride, activation=activation)
+
+
+def dense(n_in, n_out, activation="relu"):
+    return LayerSpec("dense", in_size=n_in, out_size=n_out,
+                     activation=activation)
+
+
+# conv geometries beyond build_scaled_dqn: several conv layers, strides
+# 2, 3 and 4, non-square kernels, a stride larger than its kernel (some
+# inputs feed nothing) and identity activations between relu layers
+SWEEP_SPECS = {
+    "3conv-s2-nonsquare": NetworkSpec(
+        layers=(conv(2, 3, 4, 3, 2), conv(3, 4, 2, 3, 1, "identity"),
+                conv(4, 3, 2, 2, 2), dense(6, 5), dense(5, 3, "identity")),
+        input_shape=(2, 13, 11), n_output=3),
+    "2conv-s4-nonsquare": NetworkSpec(
+        layers=(conv(1, 2, 5, 6, 4), conv(2, 3, 2, 2, 1, "identity"),
+                dense(18, 4), dense(4, 2, "identity")),
+        input_shape=(1, 17, 17), n_output=2),
+    "2conv-stride-over-kernel": NetworkSpec(
+        layers=(conv(2, 3, 2, 3, 3), conv(3, 2, 3, 1, 1, "identity"),
+                dense(6, 3, "identity")),
+        input_shape=(2, 10, 10), n_output=3),
+}
+
+
+def sweep_stream(rng, shape, n_frames=7):
+    frames = []
+    frame = rng.normal(size=shape)
+    for _ in range(n_frames):
+        pos = rng.integers(0, frame.size, size=int(rng.integers(0, 8)))
+        frame.ravel()[pos] = rng.normal(size=pos.size)
+        frames.append(frame.copy())
+    return frames
+
+
+class TestGeometrySweep:
+    @pytest.mark.parametrize("t_val", [0.0, 0.05])
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+    def test_matches_per_event_oracle(self, name, t_val):
+        spec = SWEEP_SPECS[name]
+        rng = np.random.default_rng([21, sorted(SWEEP_SPECS).index(name)])
+        for trial in range(3):
+            w = init_weights(spec, rng)
+            for b in w.biases:
+                b[:] = rng.normal(size=b.shape) * 0.1
+            masks = random_masks(spec, rng, density=0.6)
+            frames = sweep_stream(rng, spec.input_shape)
+            dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
+            outs = [dn.step(f) for f in frames]
+            ref = naive_delta_run(spec, w, masks, t_val, None, frames)
+            ctr = dn.counter
+            assert ctr.significant_multiplications[0] == 0
+            assert ctr.significant_multiplications[1:].tolist() == ref.mults
+            assert ctr.events_received[1:].tolist() == ref.events_received
+            assert ctr.events_sent.tolist() == ref.events_sent
+            assert ctr.timesteps == len(frames)
+            for got, want in zip(outs, ref.outputs):
+                np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+    def test_t0_matches_masked_dense_forward(self, name):
+        spec = SWEEP_SPECS[name]
+        rng = np.random.default_rng([22, sorted(SWEEP_SPECS).index(name)])
+        w = init_weights(spec, rng)
+        masks = random_masks(spec, rng)
+        dn = DeltaNetwork(spec, w, thresholds=0.0, masks=masks)
+        for f in sweep_stream(rng, spec.input_shape, n_frames=30):
+            np.testing.assert_allclose(
+                dn.step(f), masked_forward(spec, w, masks, f), atol=1e-9)
+
+
+class TestLongHorizonDrift:
+    DRIFT_BOUND = 1e-10  # largest |o - resync(o)| per layer after 2,000 steps
+
+    def test_accumulators_stay_near_resync(self):
+        spec = SWEEP_SPECS["3conv-s2-nonsquare"]
+        rng = np.random.default_rng(23)
+        w = init_weights(spec, rng)
+        for b in w.biases:
+            b[:] = rng.normal(size=b.shape) * 0.1
+        dn = DeltaNetwork(spec, w, thresholds=1e-3, masks=random_masks(spec, rng))
+        frame = rng.normal(size=spec.input_shape)
+        for _ in range(2000):
+            pos = rng.integers(0, frame.size, size=6)
+            frame.ravel()[pos] = rng.normal(size=6)
+            dn.step(frame)
+        assert dn.counter.events_sent[1:].min() > 1000  # every layer is busy
+        drifted = [st.o.copy() for st in dn.layers]
+        dn.resync()
+        for k, (st, o) in enumerate(zip(dn.layers, drifted)):
+            gap = float(np.abs(st.o - o).max())
+            assert gap <= self.DRIFT_BOUND, (spec.layer_names()[k], gap)
+
+
+def brute_force_costs(w, in_shape, stride):
+    f, c, ky, kx = w.shape
+    _, h, wd = in_shape
+    out_h, out_w = (h - ky) // stride + 1, (wd - kx) // stride + 1
+    costs = np.zeros(in_shape, dtype=np.int64)
+    for ci in range(c):
+        for y in range(h):
+            for x in range(wd):
+                for oy in range(out_h):
+                    for ox in range(out_w):
+                        dy, dx = y - oy * stride, x - ox * stride
+                        if 0 <= dy < ky and 0 <= dx < kx:
+                            costs[ci, y, x] += np.count_nonzero(w[:, ci, dy, dx])
+    return costs
+
+
+class TestStridedEventCosts:
+    @pytest.mark.parametrize("w_shape,in_shape,stride", [
+        ((3, 2, 3, 3), (2, 7, 7), 2),
+        ((2, 3, 4, 3), (3, 11, 9), 2),
+        ((4, 1, 8, 5), (1, 20, 17), 4),
+        ((2, 2, 2, 3), (2, 10, 10), 3),
+    ])
+    def test_costs_match_brute_force(self, w_shape, in_shape, stride):
+        rng = np.random.default_rng(24)
+        w = rng.normal(size=w_shape)
+        w[np.abs(w) < 0.5] = 0.0
+        costs = conv_event_costs(w, in_shape, stride=stride)
+        assert np.array_equal(costs, brute_force_costs(w, in_shape, stride))
