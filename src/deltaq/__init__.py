@@ -19,5 +19,5 @@ from .pruning import (PrunableWeights, SparsityReport, prune_step,
 from .reporting import (RunRecord, build_table, build_tradeoff_curve,
                         curve_csv, record_from_counters, write_report_files)
 from .training import (AgentParams, Batch, EvalResult, PipelineResult,
-                       ReplayBuffer, TrainingDiverged, Transition,
-                       double_q_target, evaluate, lottery_pipeline, train)
+                       ReplayBuffer, TrainingDiverged, double_q_target,
+                       evaluate, lottery_pipeline, train)

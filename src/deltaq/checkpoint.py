@@ -39,6 +39,9 @@ def _layer_to_dict(layer: LayerSpec) -> dict[str, Any]:
 
 
 def _layer_from_dict(d: dict[str, Any]) -> LayerSpec:
+    sizes = {k: v for k, v in d.items() if k not in ("kind", "activation")}
+    if not all(type(v) is int for v in sizes.values()):
+        raise ValueError(f"layer sizes must be integers: {sizes}")
     return LayerSpec(**d)
 
 
@@ -103,8 +106,9 @@ class Checkpoint:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Decode a checkpoint; raises CheckpointError, naming the path, on a
-    bad magic or version, a truncated or oversized file, non-finite weights
-    or biases, or nonzero live weights under a False mask."""
+    bad magic or version, a truncated or oversized file, a header with a
+    missing or malformed field or an inconsistent architecture, non-finite
+    weights or biases, or nonzero live weights under a False mask."""
     data = Path(path).read_bytes()
     if len(data) < 16:
         raise CheckpointError(f"{path}: truncated: {len(data)} bytes")
@@ -120,11 +124,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(data[16:16 + hlen].decode("utf-8"))
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
-    spec = NetworkSpec(
-        layers=tuple(_layer_from_dict(d) for d in header["layers"]),
-        input_shape=tuple(header["input_shape"]),
-        n_output=int(header["n_output"]),
-    )
+    try:
+        spec = NetworkSpec(
+            layers=tuple(_layer_from_dict(d) for d in header["layers"]),
+            input_shape=tuple(header["input_shape"]),
+            n_output=int(header["n_output"]),
+        )
+        has_masks, has_initial = header["has_masks"], header["has_initial"]
+        extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError(f"extra is {type(extra).__name__}, not an object")
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CheckpointError(f"{path}: bad header: {e!r}") from None
     off = 16 + hlen
 
     def read(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -151,7 +162,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         bs.append(read_f8(l.bias_shape()))
     weights = WeightSet(ws, bs)
     masks = None
-    if header["has_masks"]:
+    if has_masks:
         masks = [read(l.weight_shape(), np.uint8).astype(bool)
                  for l in spec.layers]
         for i, (w, m) in enumerate(zip(ws, masks)):
@@ -159,13 +170,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointError(
                     f"{path}: layer {i} has nonzero weights under a False mask")
     initial = None
-    if header["has_initial"]:
+    if has_initial:
         pairs = [(read_f8(l.weight_shape()), read_f8(l.bias_shape()))
                  for l in spec.layers]
         initial = WeightSet([p[0] for p in pairs], [p[1] for p in pairs])
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")
-    return Checkpoint(spec, weights, masks, initial, header.get("extra", {}))
+    return Checkpoint(spec, weights, masks, initial, extra)
 
 
 def save_prunable(path: str | Path, p: PrunableWeights,

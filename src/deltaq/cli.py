@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_prunable
+from .checkpoint import CheckpointError, load_checkpoint, save_prunable
 from .config import ConfigError, load_config, write_config
 from .envs import make_env
 from .network import build_reference_dqn, static_network_multiplications
@@ -146,11 +147,15 @@ def cmd_delta_eval(args) -> int:
     except ValueError:
         print(f"error: bad threshold list {args.threshold!r}", file=sys.stderr)
         return 2
-    if any(t < 0 for t in thresholds):
-        print("error: thresholds must be >= 0", file=sys.stderr)
+    if not all(math.isfinite(t) and t >= 0 for t in thresholds):
+        print("error: thresholds must be finite and >= 0", file=sys.stderr)
         return 2
 
-    ckpt = load_checkpoint(ckpt_path)
+    try:
+        ckpt = load_checkpoint(ckpt_path)
+    except CheckpointError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     env_name = args.env or ckpt.extra.get("env")
     if env_name is None:
         print("error: checkpoint has no environment; pass --env",

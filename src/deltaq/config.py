@@ -9,6 +9,7 @@ self-describing. Validation collects every problem before raising.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,7 +130,10 @@ def _merged_parser(path: str | Path | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULTS)
     if path is not None:
-        read = cp.read(str(path))
+        try:
+            read = cp.read(str(path))
+        except configparser.Error as e:
+            raise ConfigError(f"cannot parse {path}: {e}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
     return cp
@@ -152,10 +156,13 @@ def load_config(path: str | Path | None = None) -> RunConfig:
 
     def getf(sec: str, key: str) -> float:
         try:
-            return cp.getfloat(sec, key)
+            v = cp.getfloat(sec, key)
         except ValueError:
             errors.append(f"[{sec}] {key}: not a number: {cp.get(sec, key)!r}")
             return 0.0
+        if not math.isfinite(v):
+            errors.append(f"[{sec}] {key}: must be finite, got {v}")
+        return v
 
     env_name = cp.get("env", "name")
     if env_name not in ("mini-breakout", "mini-invaders"):
@@ -165,6 +172,10 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     preset = cp.get("network", "preset")
     if preset not in ("scaled", "reference"):
         errors.append(f"[network] preset: must be scaled or reference, got {preset!r}")
+    conv_filters = geti("network", "conv_filters", lo=1)
+    conv_kernel = geti("network", "conv_kernel", lo=1)
+    conv_stride = geti("network", "conv_stride", lo=1)
+    dense_hidden = geti("network", "dense_hidden", lo=1)
     n_output_raw = cp.get("network", "n_output").strip()
     n_output = None
     if n_output_raw:
@@ -213,8 +224,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     try:
         thresholds = tuple(float(s) for s in
                            cp.get("delta", "thresholds").split(","))
-        if any(t < 0 for t in thresholds) or not thresholds:
-            errors.append("[delta] thresholds: need one or more values >= 0")
+        if not all(math.isfinite(t) and t >= 0 for t in thresholds):
+            errors.append("[delta] thresholds: need finite values >= 0")
     except ValueError:
         errors.append(f"[delta] thresholds: bad list {cp.get('delta', 'thresholds')!r}")
         thresholds = (0.0,)
@@ -223,8 +234,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     if in_t_raw:
         try:
             input_threshold = float(in_t_raw)
-            if input_threshold < 0:
-                errors.append("[delta] input_threshold: must be >= 0")
+            if not (math.isfinite(input_threshold) and input_threshold >= 0):
+                errors.append("[delta] input_threshold: must be finite and >= 0")
         except ValueError:
             errors.append(f"[delta] input_threshold: not a number: {in_t_raw!r}")
     curve_threshold = getf("delta", "curve_threshold")
@@ -235,10 +246,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         raise ConfigError("\n".join(errors))
     return RunConfig(
         env_name=env_name, env_max_steps=env_max_steps,
-        network_preset=preset, conv_filters=geti("network", "conv_filters", lo=1),
-        conv_kernel=geti("network", "conv_kernel", lo=1),
-        conv_stride=geti("network", "conv_stride", lo=1),
-        dense_hidden=geti("network", "dense_hidden", lo=1),
+        network_preset=preset, conv_filters=conv_filters,
+        conv_kernel=conv_kernel, conv_stride=conv_stride,
+        dense_hidden=dense_hidden,
         n_output=n_output, training=tc, prune_rate=rate,
         prune_iterations=iterations, prune_scope=scope,
         thresholds=thresholds, input_threshold=input_threshold,

@@ -107,8 +107,8 @@ def resolve_thresholds(spec: NetworkSpec, thresholds: float | Sequence[float],
                 f"got {len(per_layer)} thresholds for {len(spec.layers)} layers"
             )
     t_in = float(input_threshold) if input_threshold is not None else per_layer[0]
-    if t_in < 0 or any(t < 0 for t in per_layer):
-        raise ValueError("thresholds must be nonnegative")
+    if not all(np.isfinite(t) and t >= 0 for t in (t_in, *per_layer)):
+        raise ValueError("thresholds must be finite and nonnegative")
     return t_in, per_layer
 
 

@@ -220,11 +220,6 @@ def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> WeightSet:
     return WeightSet(weights, biases)
 
 
-def zero_weights(spec: NetworkSpec) -> WeightSet:
-    return WeightSet([np.zeros(l.weight_shape()) for l in spec.layers],
-                     [np.zeros(l.bias_shape()) for l in spec.layers])
-
-
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
@@ -310,9 +305,6 @@ class StaticCountReport:
     rows: tuple[StaticCountRow, ...]
     total_multiplications: int
     total_params: int
-
-    def layer_multiplications(self) -> dict[str, int]:
-        return {r.name: r.multiplications for r in self.rows}
 
 
 def static_network_multiplications(spec: NetworkSpec) -> StaticCountReport:

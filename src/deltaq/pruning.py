@@ -61,10 +61,6 @@ class PrunableWeights:
         for w, m in zip(self.live.weights, self.masks):
             w[~m] = 0.0
 
-    def masked_live(self) -> WeightSet:
-        self.apply()
-        return self.live
-
 
 def prune_step(p: PrunableWeights, scope: tuple[int, ...] | None = None) -> PrunableWeights:
     """Mask the smallest-magnitude fraction `p.rate` of the surviving weights

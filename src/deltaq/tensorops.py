@@ -1,52 +1,9 @@
-"""Dense float64 tensor and binary-mask primitives shared by every other module.
-
-Tensors are plain numpy float64 arrays in row-major (C) order; masks are
-boolean arrays of the same shape. No broadcasting: shapes must match exactly.
-All public operations keep values finite.
-"""
+"""The two float64 array primitives shared by the network and the delta
+engine: a finiteness check and the relu activation."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
-
-
-class ShapeMismatchError(ValueError):
-    """Raised when two operands do not have identical shapes."""
-
-
-def tensor(data, shape: Sequence[int] | None = None) -> np.ndarray:
-    """Build a row-major float64 tensor, optionally reshaped to `shape`.
-
-    Raises ValueError if the element count does not match the shape or if
-    any value is non-finite.
-    """
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        shape = tuple(int(s) for s in shape)
-        if any(s < 1 for s in shape):
-            raise ValueError(f"extents must be positive, got {shape}")
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(
-                f"data length {arr.size} does not match shape {shape}"
-            )
-        arr = arr.reshape(shape)
-    check_finite(arr)
-    return arr
-
-
-def bitmask(bits, shape: Sequence[int] | None = None) -> np.ndarray:
-    """Build a boolean mask array (True = kept, False = masked out)."""
-    arr = np.ascontiguousarray(bits, dtype=bool)
-    if shape is not None:
-        shape = tuple(int(s) for s in shape)
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(
-                f"bit count {arr.size} does not match shape {shape}"
-            )
-        arr = arr.reshape(shape)
-    return arr
 
 
 def check_finite(t: np.ndarray) -> None:
@@ -54,54 +11,5 @@ def check_finite(t: np.ndarray) -> None:
         raise ValueError("tensor contains non-finite values")
 
 
-def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def elementwise_apply(t: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to every entry, preserving shape.
-
-    `f` may be a numpy ufunc-compatible callable or a plain scalar function.
-    """
-    try:
-        out = np.asarray(f(t), dtype=np.float64)
-        vectorized = out.shape == t.shape
-    except (TypeError, ValueError):
-        vectorized = False
-    if not vectorized:
-        # plain scalar function: explicit elementwise pass
-        out = np.fromiter(
-            (f(v) for v in t.ravel()), dtype=np.float64, count=t.size
-        ).reshape(t.shape)
-    check_finite(out)
-    return out
-
-
 def relu(t: np.ndarray) -> np.ndarray:
     return np.maximum(t, 0.0)
-
-
-def identity(t: np.ndarray) -> np.ndarray:
-    return t
-
-
-def masked_copy(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Return a copy of `t` with entries zeroed wherever the mask is False."""
-    check_same_shape(t, m)
-    return np.where(m, t, 0.0)
-
-
-def count_nonzero(t: np.ndarray) -> int:
-    """Exact count of entries different from zero."""
-    return int(np.count_nonzero(t))
-
-
-def sparsity(m: np.ndarray) -> float:
-    """Fraction of masked-out (False) entries, in [0, 1]."""
-    return float(m.size - np.count_nonzero(m)) / float(m.size)
-
-
-def density(m: np.ndarray) -> float:
-    """Fraction of kept (True) entries; sparsity(m) + density(m) == 1."""
-    return float(np.count_nonzero(m)) / float(m.size)

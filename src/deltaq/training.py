@@ -3,9 +3,10 @@ backprop with an adaptive-moment optimizer, and the iterative
 prune/rewind/retrain pipeline.
 
 The public network forward pass is single-state; training uses its own
-batched forward/backward over the same im2col machinery. Masked weights
-receive no gradient and are re-zeroed after every optimizer step, so they
-stay exactly zero throughout training.
+batched forward/backward, which reads conv columns through a sliding-window
+view and adds column gradients back through the same windows. Masked
+weights receive no gradient and are re-zeroed after every optimizer step,
+so they stay exactly zero throughout training.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .config import TrainingConfig
 from .delta import DeltaNetwork, OpCounter
 from .envs import Environment, random_policy_reward
-from .network import (NetworkSpec, WeightSet, forward, im2col_indices,
-                      init_weights, static_network_multiplications)
+from .network import (NetworkSpec, WeightSet, forward, init_weights,
+                      static_network_multiplications)
 from .pruning import PrunableWeights, prune_step, report_sparsity, rewind
 
 
@@ -29,15 +30,6 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 # replay buffer
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    done: bool
-
 
 @dataclass
 class Batch:
@@ -160,12 +152,15 @@ def backward_batch(spec: NetworkSpec, w: WeightSet, caches, d_out: np.ndarray):
             gb[i] = gm.sum(axis=(0, 2))
             if i > 0:
                 dcols = np.einsum("fk,bfp->bkp", w.weights[i].reshape(f, -1), gm)
-                dx = np.zeros_like(x_in)
-                chans, rows, cols_idx = im2col_indices(
-                    x_in.shape[1:], layer.kernel_y, layer.kernel_x, layer.stride)
-                bidx = np.arange(x_in.shape[0])[:, None, None]
-                np.add.at(dx, (bidx, chans, rows, cols_idx), dcols)
-                g = dx
+                # col2im: add the columns back through the windows
+                # _im2col_batch reads, one kernel offset at a time
+                ky, kx, s = layer.kernel_y, layer.kernel_x, layer.stride
+                oh, ow = pre.shape[2:]
+                d = dcols.reshape(*x_in.shape[:2], ky, kx, oh, ow)
+                g = np.zeros_like(x_in)
+                for y in range(ky):
+                    for z in range(kx):
+                        g[:, :, y:y + s * oh:s, z:z + s * ow:s] += d[:, :, y, z]
     return gw, gb
 
 
@@ -352,21 +347,6 @@ class EvalResult:
     counter: OpCounter
 
 
-def _dense_counter_template(spec: NetworkSpec) -> tuple[list[int], list[int], list[int]]:
-    """Per-weighted-layer static multiplications plus input/output sizes,
-    aligned with the OpCounter rows after Input."""
-    report = static_network_multiplications(spec)
-    mults = [r.multiplications for r in report.rows if r.name != "Flatten"]
-    shapes = spec.output_shapes()
-    in_sizes, out_sizes = [], []
-    cur = int(np.prod(spec.input_shape))
-    for s in shapes:
-        in_sizes.append(cur)
-        cur = int(np.prod(s))
-        out_sizes.append(cur)
-    return mults, in_sizes, out_sizes
-
-
 def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
              episodes: int, mode: str = "dense",
              thresholds: float | list[float] = 0.001,
@@ -380,44 +360,45 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rewards: list[float] = []
     if mode == "dense":
-        counter = OpCounter(spec.layer_names())
-        mults, in_sizes, out_sizes = _dense_counter_template(spec)
-        input_size = int(np.prod(spec.input_shape))
-        w_eff = weights
-        if masks is not None:
-            w_eff = weights.copy()
-            for k, m in enumerate(masks):
-                w_eff.weights[k][~m] = 0.0
-        for _ in range(episodes):
-            state = env.reset()
-            done, total = False, 0.0
-            while not done:
-                action = greedy_action(spec, w_eff, state)
-                state, r, done = env.step(action)
-                total += r
-                counter.timesteps += 1
-                counter.events_sent[0] += input_size
-                for k in range(len(spec.layers)):
-                    counter.significant_multiplications[k + 1] += mults[k]
-                    counter.events_received[k + 1] += in_sizes[k]
-                    counter.events_sent[k + 1] += out_sizes[k]
-            rewards.append(total)
+        w_eff = weights.copy() if masks is not None else weights
+        for k, m in enumerate(masks or ()):
+            w_eff.weights[k][~m] = 0.0
+
+        def act(state: np.ndarray) -> int:
+            return greedy_action(spec, w_eff, state)
     elif mode == "delta":
         dn = DeltaNetwork(spec, weights, thresholds, input_threshold, masks)
-        for _ in range(episodes):
-            dn.reset_state()
-            state = env.reset()
-            done, total = False, 0.0
-            while not done:
-                q = dn.step(state)
-                state, r, done = env.step(int(np.argmax(q)))
-                total += r
-            rewards.append(total)
-        counter = dn.counter
+
+        def act(state: np.ndarray) -> int:
+            return int(np.argmax(dn.step(state)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+
+    rewards: list[float] = []
+    steps = 0
+    for _ in range(episodes):
+        if mode == "delta":
+            dn.reset_state()
+        state = env.reset()
+        done, total = False, 0.0
+        while not done:
+            state, r, done = env.step(act(state))
+            total += r
+            steps += 1
+        rewards.append(total)
+
+    if mode == "delta":
+        counter = dn.counter
+    else:
+        counter = OpCounter(spec.layer_names())
+        rows = static_network_multiplications(spec).rows
+        sizes = [int(np.prod(s)) for s in [spec.input_shape, *spec.output_shapes()]]
+        counter.timesteps = steps
+        counter.significant_multiplications[1:] = \
+            [r.multiplications * steps for r in rows if r.name != "Flatten"]
+        counter.events_received[1:] = [n * steps for n in sizes[:-1]]
+        counter.events_sent[:] = [n * steps for n in sizes]
     return EvalResult(float(np.mean(rewards)), rewards, counter)
 
 

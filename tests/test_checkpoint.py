@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,55 @@ def test_live_weight_under_false_mask_rejected(setup):
     with pytest.raises(CheckpointError, match="False mask") as err:
         load_checkpoint(tmp / "dirty.ckpt")
     assert "layer 2" in str(err.value)
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header passed through `edit`."""
+    raw = src.read_bytes()
+    hlen = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+    header = edit(json.loads(raw[16:16 + hlen]))
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:12] + np.uint32(len(blob)).tobytes() + blob
+                    + raw[16 + hlen:])
+
+
+def _drop(key):
+    def edit(h):
+        del h[key]
+        return h
+    return edit
+
+
+def _set_layer(i, key, value):
+    def edit(h):
+        h["layers"][i][key] = value
+        return h
+    return edit
+
+
+BAD_HEADERS = {
+    "missing-layers": _drop("layers"),
+    "missing-has-masks": _drop("has_masks"),
+    "missing-n-output": _drop("n_output"),
+    "unknown-layer-field": _set_layer(0, "dilation", 2),
+    "unknown-layer-kind": _set_layer(0, "kind", "pool"),
+    "non-chaining-shape": _set_layer(1, "in_size", 7),
+    "fractional-kernel": _set_layer(0, "kernel_x", 2.5),
+    "layer-not-object": lambda h: {**h, "layers": [1, 2, 3]},
+    "extra-not-object": lambda h: {**h, "extra": [1]},
+    "header-not-object": lambda h: [h],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_bad_header_schema_names_the_path(setup, case):
+    tmp, spec, w, _ = setup
+    good = tmp / "good.ckpt"
+    save_checkpoint(good, spec, w, masks=[np.ones(l.weight_shape(), dtype=bool)
+                                          for l in spec.layers])
+    load_checkpoint(good)
+    bad = tmp / f"{case}.ckpt"
+    rewrite_header(good, bad, BAD_HEADERS[case])
+    with pytest.raises(CheckpointError, match="bad header") as err:
+        load_checkpoint(bad)
+    assert str(bad) in str(err.value)

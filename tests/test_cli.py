@@ -100,6 +100,20 @@ class TestPipeline:
         assert not out.exists()
         assert "iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("conv_filters", "abc"), ("conv_filters", "0"), ("conv_kernel", "-2"),
+    ])
+    def test_bad_network_integer_exits_2(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.ini"
+        text = SMOKE_CONFIG.replace("conv_filters = 4\n", "")
+        bad.write_text(text.replace("[network]\n",
+                                    f"[network]\n{key} = {value}\n"))
+        out = tmp_path / "never"
+        assert main(["pipeline", "--config", str(bad), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
 
 class TestDeltaEval:
     def test_threshold_zero_matches_dense(self, smoke_run, tmp_path):
@@ -130,6 +144,31 @@ class TestDeltaEval:
         assert main(["delta-eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--out", str(tmp_path / "x")]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "0,inf"])
+    def test_nonfinite_threshold_rejected(self, smoke_run, tmp_path, capsys,
+                                          threshold):
+        _, _, out = smoke_run
+        ckpt = out / "checkpoints" / "iter_001.ckpt"
+        assert main(["delta-eval", "--checkpoint", str(ckpt), "--threshold",
+                     threshold, "--out", str(tmp_path / "n")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", ["truncated", "bad-schema"])
+    def test_corrupt_checkpoint_exits_2(self, smoke_run, tmp_path, capsys,
+                                        cut):
+        _, _, out = smoke_run
+        raw = (out / "checkpoints" / "iter_001.ckpt").read_bytes()
+        bad = tmp_path / f"{cut}.ckpt"
+        if cut == "truncated":
+            bad.write_bytes(raw[:-5])
+        else:  # valid JSON without the layer list
+            blob = b'{"n_output": 3}'
+            bad.write_bytes(raw[:12] + len(blob).to_bytes(4, "little") + blob)
+        assert main(["delta-eval", "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
 
     def test_zero_episodes_rejected(self, smoke_run, tmp_path, capsys):
         _, _, out = smoke_run

@@ -94,3 +94,36 @@ def test_write_config_roundtrip(tmp_path):
     for sec in ("[env]", "[network]", "[training]", "[pruning]", "[delta]",
                 "[eval]"):
         assert sec in text
+
+
+@pytest.mark.parametrize("key,value", [
+    ("conv_filters", "abc"), ("conv_filters", "0"), ("conv_kernel", "-2"),
+    ("conv_stride", "0"), ("dense_hidden", "1.5"),
+])
+def test_bad_network_integers_rejected(tmp_path, key, value):
+    path = tmp_path / "net.ini"
+    path.write_text(f"[network]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"\\[network\\] {key}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("delta", "thresholds", "nan"), ("delta", "thresholds", "0,inf"),
+    ("delta", "input_threshold", "nan"), ("delta", "curve_threshold", "inf"),
+    ("training", "learning_rate", "nan"), ("training", "huber_delta", "-inf"),
+])
+def test_nonfinite_floats_rejected(tmp_path, section, key, value):
+    path = tmp_path / "nan.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"\\[{section}\\] {key}"):
+        load_config(path)
+
+
+def test_unparsable_file_is_config_error(tmp_path):
+    path = tmp_path / "dup.ini"
+    path.write_text("[network]\nconv_filters = 4\nconv_filters = 8\n")
+    with pytest.raises(ConfigError, match="conv_filters"):
+        load_config(path)
+    path.write_text("conv_filters = 4\n")  # no section header
+    with pytest.raises(ConfigError, match="section"):
+        load_config(path)

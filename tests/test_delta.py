@@ -395,6 +395,17 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="non-finite"):
             dn.step(frame)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"thresholds": np.nan}, {"thresholds": np.inf},
+        {"thresholds": 0.0, "input_threshold": np.nan},
+        {"thresholds": [0.0, np.nan, 0.0]},
+    ])
+    def test_nonfinite_threshold_rejected(self, kwargs):
+        # a NaN gate never fires: the engine would return zeros forever
+        spec, w = random_net(np.random.default_rng(21))
+        with pytest.raises(ValueError, match="finite"):
+            DeltaNetwork(spec, w, **kwargs)
+
 
 def conv(c, f, ky, kx, stride, activation="relu"):
     return LayerSpec("conv2d", in_channels=c, out_filters=f, kernel_y=ky,

@@ -1,87 +1,17 @@
 import numpy as np
-import pytest
 
-from deltaq.tensorops import (ShapeMismatchError, bitmask, count_nonzero,
-                              density, elementwise_apply, masked_copy, relu,
-                              sparsity, tensor)
-
-
-def test_tensor_shape_contract():
-    t = tensor([1.0, 2.0, 3.0, 4.0], shape=(2, 2))
-    assert t.shape == (2, 2)
-    assert t.dtype == np.float64
-    assert t.flags["C_CONTIGUOUS"]
-
-
-def test_tensor_rejects_bad_shape_and_nonfinite():
-    with pytest.raises(ValueError):
-        tensor([1.0, 2.0], shape=(3,))
-    with pytest.raises(ValueError):
-        tensor([1.0, np.inf])
-    with pytest.raises(ValueError):
-        tensor([np.nan])
+from deltaq.tensorops import relu
 
 
 def test_relu_definition():
-    t = tensor([-1.0, 0.0, 2.0])
-    assert np.array_equal(elementwise_apply(t, relu), [0.0, 0.0, 2.0])
-
-
-def test_identity_is_identity():
-    t = tensor([[1.5, -2.0], [0.0, 3.0]])
-    out = elementwise_apply(t, lambda x: x)
-    assert out.shape == t.shape
-    assert np.array_equal(out, t)
+    t = np.array([-1.0, 0.0, 2.0])
+    assert np.array_equal(relu(t), [0.0, 0.0, 2.0])
 
 
 def test_elementwise_matches_scalar_loop():
     rng = np.random.default_rng(7)
-    t = tensor(rng.normal(size=(3, 3)))
-    out = elementwise_apply(t, relu)
+    t = rng.normal(size=(3, 3))
+    out = relu(t)
     for i in range(3):
         for j in range(3):
             assert out[i, j] == max(t[i, j], 0.0)
-
-
-def test_masked_copy_definition():
-    t = tensor([1.0, 2.0, 3.0])
-    m = bitmask([True, False, True])
-    assert np.array_equal(masked_copy(t, m), [1.0, 0.0, 3.0])
-
-
-def test_masked_copy_all_true_is_identity():
-    t = tensor([[4.0, 5.0], [6.0, 7.0]])
-    m = bitmask(np.ones((2, 2), dtype=bool))
-    assert np.array_equal(masked_copy(t, m), t)
-
-
-def test_masked_copy_random_against_loop_and_idempotent():
-    rng = np.random.default_rng(11)
-    t = tensor(rng.normal(size=(4, 5)))
-    m = bitmask(rng.random((4, 5)) < 0.5)
-    out = masked_copy(t, m)
-    for i in range(4):
-        for j in range(5):
-            assert out[i, j] == (t[i, j] if m[i, j] else 0.0)
-    assert np.array_equal(masked_copy(out, m), out)
-
-
-def test_masked_copy_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        masked_copy(tensor([1.0, 2.0]), bitmask([True]))
-
-
-def test_count_nonzero_cases():
-    assert count_nonzero(tensor(np.zeros((3, 3)))) == 0
-    assert count_nonzero(tensor([0.0, 1e-12, -3.0])) == 2
-    rng = np.random.default_rng(3)
-    t = tensor(np.where(rng.random((6, 6)) < 0.4, rng.normal(size=(6, 6)), 0.0))
-    assert count_nonzero(t) == sum(1 for v in t.ravel() if v != 0.0)
-
-
-def test_sparsity_density_sum_to_one():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m = bitmask(rng.random(rng.integers(1, 50)) < rng.random())
-        assert sparsity(m) + density(m) == 1.0
-        assert 0.0 <= sparsity(m) <= 1.0

@@ -22,6 +22,19 @@ def tiny_spec():
         input_shape=(2, 4, 4), n_output=2)
 
 
+def two_conv_spec():
+    """Two conv layers, so the second one's input gradient goes through
+    col2im: stride 2 with a 3x3 kernel, then stride 1 with a 2x3 kernel."""
+    return NetworkSpec(
+        layers=(LayerSpec("conv2d", in_channels=2, out_filters=3, kernel_x=3,
+                          kernel_y=3, stride=2),
+                LayerSpec("conv2d", in_channels=3, out_filters=2, kernel_x=3,
+                          kernel_y=2, stride=1),
+                LayerSpec("dense", in_size=12, out_size=2,
+                          activation="identity")),
+        input_shape=(2, 9, 9), n_output=2)
+
+
 def constant_q_nets(q_online, q_target):
     """1-input networks whose outputs are fixed vectors (weights 0, bias q)."""
     n = len(q_online)
@@ -153,6 +166,36 @@ class TestGradients:
                     rel = abs(num - gflat[i]) / max(1e-8, abs(num) + abs(gflat[i]))
                     assert rel < 1e-4
 
+    def test_two_conv_analytic_matches_central_differences(self):
+        rng = np.random.default_rng(1)
+        spec = two_conv_spec()
+        assert sum(l.param_count() for l in spec.layers) <= 200
+        w = init_weights(spec, rng)
+        b = 5
+        states = rng.normal(size=(b, 2, 9, 9))
+        actions = rng.integers(0, 2, b)
+        targets = rng.normal(size=b)
+        _, gw, gb = q_loss_and_grads(spec, w, states, actions, targets)
+
+        def loss():
+            q = forward_batch(spec, w, states)
+            return float(np.mean(huber(q[np.arange(b), actions] - targets)))
+
+        eps = 1e-6
+        for arrs, grads in ((w.weights, gw), (w.biases, gb)):
+            for a, g in zip(arrs, grads):
+                flat, gflat = a.ravel(), g.ravel()
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + eps
+                    lp = loss()
+                    flat[i] = orig - eps
+                    lm = loss()
+                    flat[i] = orig
+                    num = (lp - lm) / (2 * eps)
+                    rel = abs(num - gflat[i]) / max(1e-8, abs(num) + abs(gflat[i]))
+                    assert rel < 1e-4
+
     def test_batch_forward_matches_single(self):
         rng = np.random.default_rng(5)
         spec = build_scaled_dqn((3, 8, 8), 4, conv_filters=6)
@@ -256,6 +299,39 @@ class TestEvaluate:
         t = res.counter.timesteps
         static = static_network_multiplications(spec).total_multiplications
         assert res.counter.total_multiplications() == static * t
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_dense_counter_rows(self, masked):
+        env, spec, w = self.setup_pair(seed=12)
+        masks = None
+        if masked:
+            rng = np.random.default_rng(4)
+            masks = [rng.random(l.weight_shape()) < 0.5 for l in spec.layers]
+        res = evaluate(env.fork(3), spec, w, episodes=2, masks=masks)
+        # independent rollout: the same greedy policy, steps counted by hand
+        w_eff = w.copy()
+        for k, m in enumerate(masks or []):
+            w_eff.weights[k][~m] = 0.0
+        rollout = env.fork(3)
+        t, rewards = 0, []
+        for _ in range(2):
+            state, done, total = rollout.reset(), False, 0.0
+            while not done:
+                state, r, done = rollout.step(int(np.argmax(
+                    forward(spec, w_eff, state))))
+                total += r
+                t += 1
+            rewards.append(total)
+        assert res.rewards == rewards
+        c = res.counter
+        assert c.timesteps == t
+        # (4, 10, 10) -> conv 4x3x3 -> (4, 8, 8) -> 16 -> 3; masks never
+        # change the dense count
+        assert c.layer_names == ("Input", "Conv2d-1", "Dense-1", "Dense-2")
+        assert c.significant_multiplications.tolist() == \
+            [0, 64 * 4 * 9 * 4 * t, 256 * 16 * t, 16 * 3 * t]
+        assert c.events_received.tolist() == [0, 400 * t, 256 * t, 16 * t]
+        assert c.events_sent.tolist() == [400 * t, 256 * t, 16 * t, 3 * t]
 
     def test_episode_validation(self):
         env, spec, w = self.setup_pair(seed=13)
