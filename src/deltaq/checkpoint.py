@@ -104,10 +104,34 @@ class Checkpoint:
         return p
 
 
+def _check_extra(extra: Any, n_layers: int) -> None:
+    """The extra keys read back by to_prunable and delta-eval hold usable
+    values when present; other keys are free-form."""
+    if not isinstance(extra, dict):
+        raise TypeError(f"extra is {type(extra).__name__}, not an object")
+    rate = extra.get("rate", 0.2)
+    if type(rate) not in (int, float) or not 0.0 < rate < 1.0:
+        raise ValueError(
+            f"extra rate must be a number in (0, 1), got {rate!r}")
+    for key, lo in (("iteration", 0), ("env_max_steps", 1)):
+        v = extra.get(key, lo)
+        if type(v) is not int or v < lo:
+            raise ValueError(
+                f"extra {key} must be an integer >= {lo}, got {v!r}")
+    scope = extra.get("scope", [])
+    if not (isinstance(scope, list)
+            and all(type(k) is int and 0 <= k < n_layers for k in scope)):
+        raise ValueError(
+            f"extra scope must be a list of layer indices, got {scope!r}")
+    if not isinstance(extra.get("env", ""), str):
+        raise ValueError(f"extra env must be a string, got {extra['env']!r}")
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Decode a checkpoint; raises CheckpointError, naming the path, on a
     bad magic or version, a truncated or oversized file, a header with a
-    missing or malformed field or an inconsistent architecture, non-finite
+    missing or malformed field, an inconsistent architecture or an unusable
+    extra value (rate, iteration, scope, env, env_max_steps), non-finite
     weights or biases, or nonzero live weights under a False mask."""
     data = Path(path).read_bytes()
     if len(data) < 16:
@@ -132,8 +156,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
         has_masks, has_initial = header["has_masks"], header["has_initial"]
         extra = header.get("extra", {})
-        if not isinstance(extra, dict):
-            raise TypeError(f"extra is {type(extra).__name__}, not an object")
+        _check_extra(extra, len(spec.layers))
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CheckpointError(f"{path}: bad header: {e!r}") from None
     off = 16 + hlen

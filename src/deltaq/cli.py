@@ -161,7 +161,12 @@ def cmd_delta_eval(args) -> int:
         print("error: checkpoint has no environment; pass --env",
               file=sys.stderr)
         return 2
-    max_steps = int(ckpt.extra.get("env_max_steps", 400))
+    try:
+        env = make_env(env_name, seed=args.seed,
+                       max_steps=ckpt.extra.get("env_max_steps", 400))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     spec = ckpt.spec
     p = ckpt.to_prunable() if ckpt.masks is not None and ckpt.initial is not None else None
     masks = ckpt.masks
@@ -174,7 +179,6 @@ def cmd_delta_eval(args) -> int:
         sp_scope = sp_all = 0.0
         iteration = 0
 
-    env = make_env(env_name, seed=args.seed, max_steps=max_steps)
     dense = evaluate(env.fork(args.seed), spec, ckpt.weights, args.episodes,
                      masks=masks)
     records = []

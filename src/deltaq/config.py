@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .envs import make_env
 from .network import NetworkSpec, build_reference_dqn, build_scaled_dqn
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -244,7 +245,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
 
     if errors:
         raise ConfigError("\n".join(errors))
-    return RunConfig(
+    cfg = RunConfig(
         env_name=env_name, env_max_steps=env_max_steps,
         network_preset=preset, conv_filters=conv_filters,
         conv_kernel=conv_kernel, conv_stride=conv_stride,
@@ -253,6 +254,14 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         prune_iterations=iterations, prune_scope=scope,
         thresholds=thresholds, input_threshold=input_threshold,
         curve_threshold=curve_threshold, eval_episodes=eval_episodes)
+    # the network must fit the environment's frames
+    env = make_env(env_name, seed=0)
+    try:
+        cfg.build_network(env.state_shape, env.n_actions)
+    except ValueError as e:
+        raise ConfigError(f"[network] does not fit {env_name} frames "
+                          f"{env.state_shape}: {e}") from None
+    return cfg
 
 
 def write_config(cfg_path_in: str | Path | None, out_path: str | Path) -> None:

@@ -11,16 +11,21 @@ threshold away from the last transmitted value (a hysteresis gate: the
 comparison point is the last *sent* value, so sub-threshold residue is never
 discarded).
 
-Events are scattered, not replayed through a dense layer. A dense layer
-keeps its masked weights as one (in, out) C-order array, so the rows of the
-fired inputs are contiguous and a step costs ``deltas @ w_in_out[idx]``. A
-conv layer looks each fired input position up in a footprint table (the
-output positions it touches and the kernel column used at each, see
-``_conv_footprint``), writes the deltas into an im2col-style column block
-restricted to the affected output positions, and adds one
-``(F, C*Ky*Kx) @ (C*Ky*Kx, n_affected)`` product into the accumulator at
-those positions only. At full event density this is exactly the im2col
-GEMM of the dense pass, so there is no fallback path.
+Events update accumulators in place; no layer is re-run. A conv layer looks
+each fired input position up in a footprint table to mark the output
+positions it touches (``_conv_footprint``), writes the deltas into a zero
+delta image of its input, and gathers the ``(C*Ky*Kx, n_affected)`` im2col
+block of those positions through a flat index table (``_im2col_table``).
+One ``(F, C*Ky*Kx) @ block`` product is added into the accumulator at the
+affected positions only, and the image is zeroed again. At full event
+density this is the im2col GEMM of the dense pass, so there is no fallback
+path. A dense layer keeps its masked weights as one (in, out) C-order
+array. When at most ``DENSE_FULL_FRACTION`` of its inputs fired it adds
+``deltas @ w_in_out[fired]`` (the rows are contiguous); above it, the full
+``delta_vector @ w_in_out`` over a zero vector holding the deltas, which is
+the faster of the two there. Zero deltas and masked (zero) weights add
+exact zeros on every path, so an output that no fired input reaches through
+a live weight keeps its accumulator bit for bit.
 
 Timestep semantics are synchronous: a layer absorbs every event of the
 current step before its neurons decide whether to fire, which makes outputs
@@ -48,8 +53,16 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .network import NetworkSpec, WeightSet, conv2d_single
-from .tensorops import check_finite, relu
+from .network import NetworkSpec, WeightSet, conv2d_single, im2col_indices
+from .tensorops import check_finite
+
+# A dense layer adds the full product (delta vector) @ w_in_out, zeros
+# included, once more than this fraction of its inputs fired in a step, and
+# the gathered rows deltas @ w_in_out[fired] up to it. Measured crossover,
+# one OpenBLAS thread on a 2-vCPU Xeon, gather vs full: (1024, 128) 27.6 vs
+# 28.6 us at 0.30 and 30.0 vs 25.9 us at 0.33; (3136, 512) 634 vs 662 us at
+# 0.30 and 699 vs 649 us at 0.33.
+DENSE_FULL_FRACTION = 0.3
 
 
 class OpCounter:
@@ -152,22 +165,43 @@ class DeltaNetwork:
             self.w_masked.append(w)
             self.biases.append(weights.biases[i].copy())
 
-        # per conv layer: its footprint table; per layer: event cost tables,
-        # the significant multiplications one event at each input causes
-        self._footprints: list[tuple[np.ndarray, np.ndarray] | None] = []
+        # per layer: the significant multiplications one event at each flat
+        # input index causes. Per conv layer: its footprint and im2col
+        # tables, its (F, C*Ky*Kx) weights, the flat accumulator offset of
+        # each filter, and a mark per output position plus a spare one for
+        # unused footprint slots (all False between steps)
         self._event_costs: list[np.ndarray] = []
+        self._conv: list[tuple[np.ndarray, ...] | None] = []
         in_shape: tuple[int, ...] = spec.input_shape
         for i, layer in enumerate(spec.layers):
+            w = self.w_masked[i]
             if layer.kind == "conv2d":
-                self._footprints.append(_conv_footprint(
-                    self.w_masked[i].shape[1:], in_shape, layer.stride))
+                kernel = w.shape[1:]
+                cols = _im2col_table(kernel, in_shape, layer.stride)
+                n_out = cols.shape[1]
+                self._conv.append((
+                    _conv_footprint(kernel, in_shape, layer.stride), cols,
+                    w.reshape(w.shape[0], -1),
+                    np.arange(w.shape[0])[:, None] * n_out,
+                    np.zeros(n_out + 1, dtype=bool)))
                 self._event_costs.append(
-                    conv_event_costs(self.w_masked[i], in_shape, layer.stride))
+                    conv_event_costs(w, in_shape, layer.stride).ravel())
             else:
-                self._footprints.append(None)
+                self._conv.append(None)
                 self._event_costs.append(
-                    np.count_nonzero(self.w_masked[i], axis=0).astype(np.int64))
+                    np.count_nonzero(w, axis=0).astype(np.int64))
             in_shape = self._out_shapes[i]
+
+        # per layer: a zero delta image (conv) or vector (dense) of its
+        # input, zero again after every step; the fired count above which a
+        # dense layer takes the full product; a relu output buffer
+        in_sizes = [int(np.prod(s))
+                    for s in (spec.input_shape, *self._out_shapes[:-1])]
+        self._zero_deltas = [np.zeros(n) for n in in_sizes]
+        self._full_from = [DENSE_FULL_FRACTION * n for n in in_sizes]
+        self._act = [np.empty(int(np.prod(s))) if layer.activation == "relu"
+                     else None
+                     for layer, s in zip(spec.layers, self._out_shapes)]
 
         self._thresholds = per_layer_t
         self.counter = OpCounter(self._names)
@@ -177,16 +211,15 @@ class DeltaNetwork:
         """Fresh episode state; the counter is left untouched."""
         self.input_prev = np.zeros(self.spec.input_shape)
         self.layers: list[DeltaLayerState] = []
-        for i, layer in enumerate(self.spec.layers):
-            shape = self._out_shapes[i]
-            if layer.kind == "conv2d":
-                o = np.ascontiguousarray(
-                    np.broadcast_to(self.biases[i].reshape(-1, 1, 1), shape)
-                ).astype(np.float64)
-            else:
-                o = self.biases[i].astype(np.float64).copy()
+        for i, shape in enumerate(self._out_shapes):
+            b = self.biases[i].astype(np.float64)
+            o = np.repeat(b, int(np.prod(shape)) // b.size).reshape(shape)
             self.layers.append(DeltaLayerState(
                 o=o, x_prev=np.zeros(shape), threshold=self._thresholds[i]))
+        # flat views of the same state; every update writes through them
+        self._input_flat = self.input_prev.reshape(-1)
+        self._o = [st.o.reshape(-1) for st in self.layers]
+        self._x = [st.x_prev.reshape(-1) for st in self.layers]
         self._first_step = True
 
     def step(self, frame: np.ndarray) -> np.ndarray:
@@ -198,67 +231,68 @@ class DeltaNetwork:
                 f"frame shape {frame.shape} != {self.spec.input_shape}")
         check_finite(frame)
         t = self.counter.timesteps
+        ctr = self.counter
 
-        d_in = frame - self.input_prev
-        fire_in = (d_in != 0.0) & (np.abs(d_in) >= self.input_threshold)
-        idx = np.flatnonzero(fire_in)
-        deltas = d_in.ravel()[idx]
+        flat = frame.reshape(-1)
+        d = flat - self._input_flat
+        idx = _fired(d, self.input_threshold)
+        deltas = d[idx]
         if idx.size:
-            self.input_prev.ravel()[idx] = frame.ravel()[idx]
-        self.counter.events_sent[0] += idx.size
+            self._input_flat[idx] = flat[idx]
+        ctr.events_sent[0] += idx.size
         if self.trace is not None:
             self._write_trace(t, "Input", idx, deltas)
 
         for k, layer in enumerate(self.spec.layers):
-            st = self.layers[k]
-            self.counter.events_received[k + 1] += idx.size
+            o = self._o[k]
+            ctr.events_received[k + 1] += idx.size
             if idx.size:
                 if layer.kind == "conv2d":
-                    self._scatter_conv(k, idx, deltas)
+                    self._conv_update(k, idx, deltas)
                 else:
-                    st.o += deltas @ self.w_masked[k].T[idx]
-                self.counter.significant_multiplications[k + 1] += int(
-                    self._event_costs[k].ravel()[idx].sum())
+                    w_in_out = self.w_masked[k].T
+                    if idx.size > self._full_from[k]:
+                        dvec = self._zero_deltas[k]
+                        dvec[idx] = deltas
+                        o += dvec @ w_in_out
+                        dvec[idx] = 0.0
+                    else:
+                        o += deltas @ w_in_out[idx]
+                ctr.significant_multiplications[k + 1] += int(
+                    self._event_costs[k][idx].sum())
 
             if idx.size or self._first_step:
-                act = relu(st.o) if layer.activation == "relu" else st.o
-                d_out = act - st.x_prev
-                fire = (d_out != 0.0) & (np.abs(d_out) >= st.threshold)
-                out_idx = np.flatnonzero(fire)
-                out_deltas = d_out.ravel()[out_idx]
-                if out_idx.size:
-                    st.x_prev.ravel()[out_idx] = act.ravel()[out_idx]
-                self.counter.events_sent[k + 1] += out_idx.size
-                if self.trace is not None and out_idx.size:
-                    self._write_trace(t, self._names[k], out_idx, out_deltas)
-                idx, deltas = out_idx, out_deltas
-            else:
-                idx = np.empty(0, dtype=np.intp)
-                deltas = np.empty(0)
+                x = self._x[k]
+                act = o if self._act[k] is None else np.maximum(
+                    o, 0.0, out=self._act[k])
+                d = act - x
+                idx = _fired(d, self._thresholds[k])
+                deltas = d[idx]
+                if idx.size:
+                    x[idx] = act[idx]
+                    if self.trace is not None:
+                        self._write_trace(t, self._names[k], idx, deltas)
+                ctr.events_sent[k + 1] += idx.size
 
         self._first_step = False
-        self.counter.timesteps += 1
-        return self.layers[-1].x_prev.ravel().copy()
+        ctr.timesteps += 1
+        return self._x[-1].copy()
 
-    def _scatter_conv(self, k: int, idx: np.ndarray, deltas: np.ndarray) -> None:
+    def _conv_update(self, k: int, idx: np.ndarray,
+                     deltas: np.ndarray) -> None:
         """Add the effect of input events (idx, deltas) to conv layer k's
         accumulator, at the output positions the events touch only."""
-        out_pos, kcol = self._footprints[k]
-        w2 = self.w_masked[k].reshape(self.w_masked[k].shape[0], -1)
-        o2 = self.layers[k].o.reshape(w2.shape[0], -1)
-        n_out, n_col = o2.shape[1], w2.shape[1]
-        pos, col = out_pos[idx], kcol[idx]
-        mark = np.zeros(n_out + 1, dtype=bool)
+        out_pos, cols, w2, filter_base, mark = self._conv[k]
+        dimg = self._zero_deltas[k]
+        pos = out_pos[idx]
         mark[pos] = True
-        affected = np.flatnonzero(mark[:n_out])
-        # column of each affected position in the block; unused slots land
-        # in a spare row and column that the product leaves out
-        slot = np.empty(n_out + 1, dtype=np.intp)
-        slot[affected] = np.arange(affected.size)
-        slot[n_out] = affected.size
-        block = np.zeros((n_col + 1, affected.size + 1))
-        block[col, slot[pos]] = deltas[:, None]
-        o2[:, affected] += w2 @ block[:n_col, :affected.size]
+        affected = mark[:-1].nonzero()[0]
+        mark[pos] = False
+        dimg[idx] = deltas
+        # (F, n_affected) flat accumulator indices: every filter, affected
+        # positions only
+        self._o[k][filter_base + affected] += w2 @ dimg[cols[:, affected]]
+        dimg[idx] = 0.0
 
     def resync(self) -> None:
         """Recompute every accumulator from the transmitted values upstream,
@@ -268,10 +302,10 @@ class DeltaNetwork:
         for k, layer in enumerate(self.spec.layers):
             st = self.layers[k]
             if layer.kind == "conv2d":
-                st.o = conv2d_single(prev, self.w_masked[k], self.biases[k],
-                                     layer.stride)
+                st.o[...] = conv2d_single(prev, self.w_masked[k],
+                                          self.biases[k], layer.stride)
             else:
-                st.o = self.w_masked[k] @ prev.ravel() + self.biases[k]
+                st.o[...] = self.w_masked[k] @ prev.ravel() + self.biases[k]
             prev = st.x_prev
 
     def _write_trace(self, t: int, label: str, idx: np.ndarray,
@@ -281,6 +315,14 @@ class DeltaNetwork:
         self.trace.write("".join(lines))
 
 
+def _fired(d: np.ndarray, threshold: float) -> np.ndarray:
+    """Flat indices where a change d passes the gate: nonzero and at least
+    the threshold in magnitude (for a threshold > 0 the second implies the
+    first)."""
+    fire = (d != 0.0) if threshold == 0.0 else (np.abs(d) >= threshold)
+    return fire.nonzero()[0]
+
+
 def conv_event_costs(w_masked: np.ndarray, in_shape: tuple[int, int, int],
                      stride: int) -> np.ndarray:
     """Significant multiplications one event at input position (c, y, x)
@@ -288,51 +330,60 @@ def conv_event_costs(w_masked: np.ndarray, in_shape: tuple[int, int, int],
     filters) at kernel offsets that actually map to a valid output position.
     Border positions touch fewer offsets."""
     f = w_masked.shape[0]
-    _, kcol = _conv_footprint(w_masked.shape[1:], tuple(in_shape), stride)
-    nnz = np.count_nonzero(w_masked.reshape(f, -1), axis=0).astype(np.int64)
-    # the spare kernel column of unused slots costs nothing
-    return np.append(nnz, 0)[kcol].sum(axis=1).reshape(in_shape)
+    in_shape = tuple(int(s) for s in in_shape)
+    cols = _im2col_table(w_masked.shape[1:], in_shape, stride)
+    nnz = np.count_nonzero(w_masked.reshape(f, -1), axis=0)
+    # each (kernel column, output position) pair reads one input position
+    costs = np.bincount(cols.ravel(), weights=np.repeat(nnz, cols.shape[1]),
+                        minlength=int(np.prod(in_shape)))
+    return costs.astype(np.int64).reshape(in_shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _im2col_table(kernel_shape: tuple[int, int, int],
+                  in_shape: tuple[int, int, int],
+                  stride: int) -> np.ndarray:
+    """Flat input index of every (kernel column, output position) entry of a
+    valid conv's im2col matrix: for a (C, H, W) image x that matrix is
+    x.ravel()[table], shape (C*Ky*Kx, out_h*out_w). Read-only and shared
+    between engines; intp, because numpy converts any other index dtype on
+    every gather (int32 tables cost about 7 us of a 100 us desk step)."""
+    _, ky, kx = kernel_shape
+    _, h, w = in_shape
+    chans, rows, cols = im2col_indices(in_shape, ky, kx, stride)
+    table = ((chans * h + rows) * w + cols).astype(np.intp)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=32)
 def _conv_footprint(kernel_shape: tuple[int, int, int],
                     in_shape: tuple[int, int, int],
-                    stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Footprint of every input position of a valid conv with (C, Ky, Kx)
-    kernels: for flat input index p, out_pos[p, j] is a spatial output index
-    (oy * out_w + ox) the position feeds and kcol[p, j] the kernel column
-    (c * Ky + ky) * Kx + kx that multiplies it there. Each row has
-    ceil(Ky/s) * ceil(Kx/s) slots; unused slots hold out_h * out_w and
-    C * Ky * Kx. The arrays are int32 (half the memory of intp), read-only
-    and shared between engines."""
+                    stride: int) -> np.ndarray:
+    """Output positions each input position of a valid conv with (C, Ky, Kx)
+    kernels feeds: row p (a flat input index) holds the spatial output
+    indices oy * out_w + ox in ceil(Ky/s) * ceil(Kx/s) slots; unused slots
+    hold out_h * out_w. intp (see _im2col_table), read-only and shared
+    between engines."""
     c, ky, kx = kernel_shape
     _, h, w = in_shape
     out_h = (h - ky) // stride + 1
     out_w = (w - kx) // stride + 1
 
-    def axis(size: int, kernel: int, out_size: int):
-        # per position and slot: output index, kernel offset, validity
+    def axis(size: int, kernel: int, out_size: int) -> np.ndarray:
+        # per position and slot: the output index, or -1 where none
         pos = np.arange(size)[:, None]
         o = pos // stride - np.arange(-(-kernel // stride))[None, :]
-        k = pos - o * stride
-        return o, k, (o >= 0) & (o < out_size) & (k < kernel)
+        valid = (o >= 0) & (o < out_size) & (pos - o * stride < kernel)
+        return np.where(valid, o, -1)
 
-    oy, kyy, vy = axis(h, ky, out_h)
-    ox, kxx, vx = axis(w, kx, out_w)
-    # broadcast to (C, H, W, slots_y, slots_x)
-    oy, kyy, vy = (a[None, :, None, :, None] for a in (oy, kyy, vy))
-    ox, kxx, vx = (a[None, None, :, None, :] for a in (ox, kxx, vx))
-    ch = np.arange(c)[:, None, None, None, None]
-    valid = vy & vx
-    out_pos = np.where(valid, oy * out_w + ox, out_h * out_w)
-    kcol = np.where(valid, (ch * ky + kyy) * kx + kxx, c * ky * kx)
-    n_slots = oy.shape[3] * ox.shape[4]
-    tables = tuple(np.ascontiguousarray(a.reshape(c * h * w, n_slots),
-                                        dtype=np.int32)
-                   for a in (np.broadcast_to(out_pos, kcol.shape), kcol))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    oy = axis(h, ky, out_h)[:, None, :, None]     # (H, 1, slots_y, 1)
+    ox = axis(w, kx, out_w)[None, :, None, :]     # (1, W, 1, slots_x)
+    out_pos = np.where((oy >= 0) & (ox >= 0), oy * out_w + ox, out_h * out_w)
+    # every channel has the same footprint
+    table = np.tile(out_pos.reshape(h * w, -1), (c, 1)).astype(np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def measure_delta_sparsity(counter: OpCounter, spec: NetworkSpec) -> dict[str, float]:

@@ -1,5 +1,6 @@
-"""The two float64 array primitives shared by the network and the delta
-engine: a finiteness check and the relu activation."""
+"""Two float64 array primitives: a finiteness check (used by the network
+and the delta engine) and the relu activation of the dense pass (the delta
+engine writes its relu into a preallocated buffer instead)."""
 
 from __future__ import annotations
 

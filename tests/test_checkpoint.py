@@ -185,3 +185,37 @@ def test_bad_header_schema_names_the_path(setup, case):
     with pytest.raises(CheckpointError, match="bad header") as err:
         load_checkpoint(bad)
     assert str(bad) in str(err.value)
+
+
+def _set_extra(key, value):
+    def edit(h):
+        h["extra"][key] = value
+        return h
+    return edit
+
+
+BAD_EXTRAS = {
+    "rate-above-one": _set_extra("rate", 5),
+    "rate-nan": _set_extra("rate", float("nan")),
+    "rate-string": _set_extra("rate", "0.2"),
+    "iteration-negative": _set_extra("iteration", -1),
+    "iteration-fractional": _set_extra("iteration", 1.5),
+    "scope-out-of-range": _set_extra("scope", [0, 3]),
+    "scope-not-list": _set_extra("scope", "conv"),
+    "env-max-steps-zero": _set_extra("env_max_steps", 0),
+    "env-not-string": _set_extra("env", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXTRAS))
+def test_bad_extra_names_the_path(setup, case):
+    tmp, spec, w, _ = setup
+    good = tmp / "good.ckpt"
+    save_prunable(good, PrunableWeights.create(spec, w, rate=0.2),
+                  extra={"env": "mini-breakout", "env_max_steps": 40})
+    load_checkpoint(good).to_prunable()
+    bad = tmp / f"{case}.ckpt"
+    rewrite_header(good, bad, BAD_EXTRAS[case])
+    with pytest.raises(CheckpointError, match="extra") as err:
+        load_checkpoint(bad)
+    assert str(bad) in str(err.value)

@@ -191,3 +191,41 @@ class TestReport:
     def test_missing_records(self, tmp_path, capsys):
         assert main(["report", "--records", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "z")]) == 2
+
+
+class TestBadInputsExit2:
+    def test_pipeline_network_too_large_for_frames(self, tmp_path, capsys):
+        bad = tmp_path / "big.ini"
+        bad.write_text("[network]\nconv_kernel = 30\n")
+        out = tmp_path / "never"
+        assert main(["pipeline", "--config", str(bad), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "does not fit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("rate", 5), ("rate", "0.2"), ("iteration", -1), ("scope", [9]),
+        ("env_max_steps", "x"), ("env_max_steps", 0),
+    ])
+    def test_delta_eval_bad_checkpoint_extra(self, smoke_run, tmp_path,
+                                             capsys, key, value):
+        _, _, out = smoke_run
+        raw = (out / "checkpoints" / "iter_001.ckpt").read_bytes()
+        hlen = int.from_bytes(raw[12:16], "little")
+        header = json.loads(raw[16:16 + hlen])
+        header["extra"][key] = value
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "extra.ckpt"
+        bad.write_bytes(raw[:12] + len(blob).to_bytes(4, "little") + blob
+                        + raw[16 + hlen:])
+        assert main(["delta-eval", "--checkpoint", str(bad), "--episodes",
+                     "1", "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and key in err
+
+    def test_delta_eval_unknown_env(self, smoke_run, tmp_path, capsys):
+        _, _, out = smoke_run
+        ckpt = out / "checkpoints" / "iter_001.ckpt"
+        assert main(["delta-eval", "--checkpoint", str(ckpt), "--env", "pong",
+                     "--out", str(tmp_path / "p")]) == 2
+        assert "unknown environment" in capsys.readouterr().err

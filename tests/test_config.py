@@ -127,3 +127,15 @@ def test_unparsable_file_is_config_error(tmp_path):
     path.write_text("conv_filters = 4\n")  # no section header
     with pytest.raises(ConfigError, match="section"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[network]\nconv_kernel = 30\n",
+    "[network]\nconv_kernel = 11\nconv_stride = 2\n",
+    "[env]\nname = mini-invaders\n[network]\nconv_kernel = 12\n",
+])
+def test_network_that_does_not_fit_frames_rejected(tmp_path, text):
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="does not fit"):
+        load_config(path)

@@ -5,6 +5,7 @@ import pytest
 
 from deltaq.delta import (DeltaNetwork, OpCounter, conv_event_costs,
                           measure_delta_sparsity)
+from deltaq.delta import DENSE_FULL_FRACTION
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet, conv2d_single,
                             build_scaled_dqn, forward, init_weights)
 from oracles import naive_delta_run
@@ -534,3 +535,85 @@ class TestStridedEventCosts:
         w[np.abs(w) < 0.5] = 0.0
         costs = conv_event_costs(w, in_shape, stride=stride)
         assert np.array_equal(costs, brute_force_costs(w, in_shape, stride))
+
+
+def fired_per_step(dn, frames, k):
+    """Step dn through frames; per step, the events layer k received."""
+    counts = []
+    for f in frames:
+        before = int(dn.counter.events_received[k + 1])
+        dn.step(f)
+        counts.append(int(dn.counter.events_received[k + 1]) - before)
+    return counts
+
+
+class TestDensePathChoice:
+    # Dense-1 sees 2-4 of its 40 inputs fire on some steps (row gather) and
+    # 20-36 on others (full product over the zero delta vector)
+    SPEC = NetworkSpec(layers=(dense(40, 12), dense(12, 3, "identity")),
+                       input_shape=(1, 1, 40), n_output=3)
+
+    def stream(self, rng):
+        frames, frame = [], rng.normal(size=self.SPEC.input_shape)
+        for n in (3, 30, 2, 36, 4, 20, 3, 25, 0, 33):
+            pos = rng.choice(frame.size, size=n, replace=False)
+            frame.ravel()[pos] += rng.normal(size=n)
+            frames.append(frame.copy())
+        return frames
+
+    @pytest.mark.parametrize("t_val", [0.0, 0.05])
+    def test_both_paths_match_per_event_oracle(self, t_val):
+        spec = self.SPEC
+        rng = np.random.default_rng(25)
+        for trial in range(3):
+            w = init_weights(spec, rng)
+            for b in w.biases:
+                b[:] = rng.normal(size=b.shape) * 0.1
+            masks = random_masks(spec, rng, density=0.6)
+            frames = [rng.normal(size=spec.input_shape)] + self.stream(rng)
+            dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
+            fractions = [n / 40 for n in fired_per_step(dn, frames, 0)[1:]]
+            assert any(0 < f <= DENSE_FULL_FRACTION for f in fractions)
+            assert any(f > DENSE_FULL_FRACTION for f in fractions)
+            ref = naive_delta_run(spec, w, masks, t_val, None, frames)
+            ctr = dn.counter
+            assert ctr.significant_multiplications[0] == 0
+            assert ctr.significant_multiplications[1:].tolist() == ref.mults
+            assert ctr.events_received[1:].tolist() == ref.events_received
+            assert ctr.events_sent.tolist() == ref.events_sent
+            dn.reset_state()
+            for f, want in zip(frames, ref.outputs):
+                np.testing.assert_allclose(dn.step(f), want, atol=1e-9)
+
+
+class TestMaskedFilterStaysSilent:
+    def test_no_events_from_filter_masked_on_every_fired_column(self):
+        # after the first frame only channel 0 changes, and filter 1 has
+        # every channel-0 weight masked: its block products are exact zeros
+        spec = NetworkSpec(
+            layers=(conv(2, 3, 3, 3, 1), dense(75, 4, "identity")),
+            input_shape=(2, 7, 7), n_output=4)
+        rng = np.random.default_rng(26)
+        w = init_weights(spec, rng)
+        w.biases[0][:] = rng.normal(size=3) * 0.1
+        masks = random_masks(spec, rng, density=0.8)
+        masks[0][1, 0] = False
+        frames = [rng.normal(size=spec.input_shape)]
+        for _ in range(12):
+            frame = frames[-1].copy()
+            pos = rng.choice(49, size=int(rng.integers(1, 10)), replace=False)
+            frame[0].ravel()[pos] = rng.normal(size=pos.size)
+            frames.append(frame)
+        log = io.StringIO()
+        dn = DeltaNetwork(spec, w, thresholds=0.0, masks=masks, trace=log)
+        outs = [dn.step(f) for f in frames]
+        conv_events = [line.split("\t") for line in log.getvalue().splitlines()
+                       if line.split("\t")[1] == "Conv2d-1"]
+        later = [int(i) for t, _, i, _ in conv_events if int(t) > 0]
+        assert later and not any(25 <= i < 50 for i in later)
+        ref = naive_delta_run(spec, w, masks, 0.0, None, frames)
+        assert dn.counter.significant_multiplications[1:].tolist() == ref.mults
+        assert dn.counter.events_received[1:].tolist() == ref.events_received
+        assert dn.counter.events_sent.tolist() == ref.events_sent
+        for got, want in zip(outs, ref.outputs):
+            np.testing.assert_allclose(got, want, atol=1e-9)
