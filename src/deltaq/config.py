@@ -3,7 +3,8 @@
 
 Every key has a default listed in DEFAULTS below; the effective (merged)
 configuration is written back into each run directory so runs are
-self-describing. Validation collects every problem before raising.
+self-describing. A section or key that DEFAULTS does not list is an error.
+Validation collects every problem before raising.
 """
 
 from __future__ import annotations
@@ -144,6 +145,12 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     """Parse and validate a config file (defaults only when path is None)."""
     cp = _merged_parser(path)
     errors: list[str] = []
+    for sec in cp.sections():
+        if sec not in DEFAULTS:
+            errors.append(f"[{sec}]: unknown section")
+            continue
+        errors += [f"[{sec}] {key}: unknown key" for key in cp.options(sec)
+                   if key not in DEFAULTS[sec]]
 
     def geti(sec: str, key: str, lo: int | None = None) -> int:
         try:
@@ -210,6 +217,16 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         errors.append(f"[training] gamma: must be in (0, 1), got {tc.gamma}")
     if tc.learning_rate <= 0:
         errors.append(f"[training] learning_rate: must be > 0, got {tc.learning_rate}")
+    for key, ok, rule in (
+            ("epsilon_start", 0.0 <= tc.epsilon_start <= 1.0, "in [0, 1]"),
+            ("epsilon_end", 0.0 <= tc.epsilon_end <= 1.0, "in [0, 1]"),
+            ("adam_beta1", 0.0 <= tc.adam_beta1 < 1.0, "in [0, 1)"),
+            ("adam_beta2", 0.0 <= tc.adam_beta2 < 1.0, "in [0, 1)"),
+            ("adam_eps", tc.adam_eps > 0, "> 0"),
+            ("huber_delta", tc.huber_delta > 0, "> 0")):
+        if not ok:
+            errors.append(f"[training] {key}: must be {rule}, "
+                          f"got {getattr(tc, key)}")
 
     rate = getf("pruning", "rate")
     if not 0.0 < rate < 1.0:
@@ -254,13 +271,19 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         prune_iterations=iterations, prune_scope=scope,
         thresholds=thresholds, input_threshold=input_threshold,
         curve_threshold=curve_threshold, eval_episodes=eval_episodes)
-    # the network must fit the environment's frames
+    # the network must fit the environment's frames, and the pruning scope
+    # must name its layers
     env = make_env(env_name, seed=0)
     try:
-        cfg.build_network(env.state_shape, env.n_actions)
+        spec = cfg.build_network(env.state_shape, env.n_actions)
     except ValueError as e:
         raise ConfigError(f"[network] does not fit {env_name} frames "
                           f"{env.state_shape}: {e}") from None
+    bad = [k for k in cfg.scope_indices(spec) or ()
+           if not 0 <= k < len(spec.layers)]
+    if bad:
+        raise ConfigError(f"[pruning] scope: layer indices {bad} outside the "
+                          f"{len(spec.layers)}-layer network")
     return cfg
 
 

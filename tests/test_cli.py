@@ -114,6 +114,22 @@ class TestPipeline:
         assert not out.exists()
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,line,fragment", [
+        ("pruning", "scope = 0,7", "scope"),
+        ("training", "adam_beta1 = 1.0", "adam_beta1"),
+        ("training", "stpes = 5", "stpes"),
+    ])
+    def test_bad_training_or_scope_exits_2(self, tmp_path, capsys, section,
+                                           line, fragment):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(SMOKE_CONFIG.replace(f"[{section}]\n",
+                                            f"[{section}]\n{line}\n"))
+        out = tmp_path / "never"
+        assert main(["pipeline", "--config", str(bad), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert fragment in capsys.readouterr().err
+
 
 class TestDeltaEval:
     def test_threshold_zero_matches_dense(self, smoke_run, tmp_path):

@@ -139,3 +139,52 @@ def test_network_that_does_not_fit_frames_rejected(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError, match="does not fit"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"), ("adam_beta2", "1.5"),
+    ("adam_eps", "-1"), ("adam_eps", "0"), ("huber_delta", "0"),
+    ("epsilon_start", "2"), ("epsilon_end", "-0.5"),
+])
+def test_optimizer_and_exploration_ranges(tmp_path, key, value):
+    path = tmp_path / "opt.ini"
+    path.write_text(f"[training]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"\\[training\\] {key}"):
+        load_config(path)
+
+
+def test_range_edges_accepted(tmp_path):
+    path = tmp_path / "edge.ini"
+    path.write_text("[training]\nadam_beta1 = 0\nadam_beta2 = 0.9999\n"
+                    "epsilon_start = 1\nepsilon_end = 0\n")
+    tc = load_config(path).training
+    assert (tc.adam_beta1, tc.epsilon_start, tc.epsilon_end) == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("[training]\nstpes = 5\n", "[training] stpes: unknown key"),
+    ("[trainig]\nsteps = 5\n", "[trainig]: unknown section"),
+    ("[DEFAULT]\nsteps = 5\n", "[env] steps: unknown key"),
+])
+def test_unknown_sections_and_keys_rejected(tmp_path, text, fragment):
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("preset,scope", [
+    ("scaled", "0,7"), ("scaled", "3"), ("scaled", "-1"), ("reference", "5"),
+])
+def test_scope_outside_network_rejected(tmp_path, preset, scope):
+    path = tmp_path / "scope.ini"
+    path.write_text(f"[network]\npreset = {preset}\n[pruning]\nscope = {scope}\n")
+    with pytest.raises(ConfigError, match="\\[pruning\\] scope"):
+        load_config(path)
+
+
+def test_scope_inside_network_accepted(tmp_path):
+    path = tmp_path / "scope.ini"
+    path.write_text("[network]\npreset = reference\n[pruning]\nscope = 0,4\n")
+    assert load_config(path).prune_scope == "0,4"

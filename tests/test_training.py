@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from deltaq.checkpoint import load_checkpoint, save_prunable
 from deltaq.config import TrainingConfig
 from deltaq.envs import make_env
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
                             build_scaled_dqn, forward, init_weights)
 from deltaq.pruning import PrunableWeights, prune_step, rewind
-from deltaq.training import (AgentParams, Batch, ReplayBuffer,
-                             TrainingDiverged, double_q_target, evaluate,
-                             forward_batch, huber, q_loss_and_grads, train)
+from deltaq.training import (ADAM_CHUNK, Adam, AgentParams, Batch,
+                             ReplayBuffer, TrainingDiverged, double_q_target,
+                             _flat_views, evaluate, forward_batch, huber,
+                             q_loss_and_grads, train)
 
 
 def tiny_spec():
@@ -80,6 +82,27 @@ class TestReplayBuffer:
         stat = float(((counts - expected) ** 2 / expected).sum())
         # chi-square 99.9% quantile at 39 dof is ~72.1 (Wilson-Hilferty)
         assert stat < 72.1
+
+    def test_wrapped_buffer_samples_only_written_transitions(self):
+        buf = ReplayBuffer(7, (2, 3, 3))
+        written = {}
+        for i in range(19):  # wraps twice: the slots hold i = 12..18
+            s = np.full((2, 3, 3), float(i))
+            buf.add(s, i % 3, float(i), s + 0.5, i % 4 == 0)
+            written[i] = (i % 3, i % 4 == 0)
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(60):
+            batch = buf.sample(7, rng)
+            for s, a, r, s2, d in zip(batch.states, batch.actions,
+                                      batch.rewards, batch.next_states,
+                                      batch.dones):
+                i = int(r)
+                assert 12 <= i <= 18  # the last `capacity` transitions
+                assert np.all(s == i) and np.all(s2 == i + 0.5)
+                assert (a, d) == written[i]
+                seen.add(i)
+        assert seen == set(range(12, 19))
 
     def test_rejects_nonfinite_reward(self):
         buf = ReplayBuffer(4, (1, 1, 1))
@@ -196,6 +219,27 @@ class TestGradients:
                     rel = abs(num - gflat[i]) / max(1e-8, abs(num) + abs(gflat[i]))
                     assert rel < 1e-4
 
+    def test_caller_buffer_gives_identical_gradients(self):
+        rng = np.random.default_rng(2)
+        spec = two_conv_spec()
+        w = init_weights(spec, rng)
+        states = rng.normal(size=(6, 2, 9, 9))
+        actions = rng.integers(0, 2, 6)
+        targets = rng.normal(size=6)
+        loss, gw, gb = q_loss_and_grads(spec, w, states, actions, targets)
+        flat = np.full(sum(l.param_count() for l in spec.layers), np.nan)
+        buf = _flat_views(spec, flat)
+        loss2, gw2, gb2 = q_loss_and_grads(spec, w, states, actions, targets,
+                                           grads=buf)
+        assert loss2 == loss
+        for a, b, v in zip(gw + gb, gw2 + gb2, buf.weights + buf.biases):
+            assert b is v
+            assert np.array_equal(a, b)
+        assert not np.isnan(flat).any()
+        strided = _flat_views(spec, np.zeros(2 * flat.size)[::2])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            q_loss_and_grads(spec, w, states, actions, targets, grads=strided)
+
     def test_batch_forward_matches_single(self):
         rng = np.random.default_rng(5)
         spec = build_scaled_dqn((3, 8, 8), 4, conv_filters=6)
@@ -205,6 +249,54 @@ class TestGradients:
         for i in range(7):
             np.testing.assert_allclose(qb[i], forward(spec, w, xb[i]),
                                        atol=1e-12)
+
+
+def adam_per_array(params, grads_per_step, lr, b1, b2, eps):
+    """The textbook per-array update, as separate arrays."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+
+
+class TestAdam:
+    def test_flat_chunked_equals_per_array_bitwise(self):
+        rng = np.random.default_rng(8)
+        sizes = [ADAM_CHUNK + 123, 2 * ADAM_CHUNK - 7, 5, 1000]
+        n = sum(sizes)
+        assert n % ADAM_CHUNK != 0
+        masked = rng.random(n) < 0.3
+        start = rng.normal(size=n)
+        start[masked] = 0.0
+        steps = []
+        for _ in range(50):
+            g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=n)
+            g[masked] = 0.0
+            steps.append(g)
+
+        flat = start.copy()
+        opt = Adam(flat, lr=3e-3, beta1=0.8, beta2=0.995, eps=1e-7)
+        for g in steps:
+            opt.step(g)
+
+        cuts = np.cumsum(sizes)[:-1]
+        ref = np.split(start.copy(), cuts)
+        adam_per_array(ref, [np.split(g, cuts) for g in steps],
+                       lr=3e-3, b1=0.8, b2=0.995, eps=1e-7)
+        ref = np.concatenate(ref)
+        assert np.array_equal(flat.view(np.int64), ref.view(np.int64))
+        assert np.all(flat[masked] == 0.0)
+        assert opt.t == 50
+
+    def test_rejects_non_flat_params(self):
+        with pytest.raises(ValueError, match="flat vector"):
+            Adam(np.zeros((3, 4)), lr=1e-3)
 
 
 class TestTrain:
@@ -252,6 +344,41 @@ class TestTrain:
         train(env2, spec2, p2, cfg2, rng2)
         for a, b in zip(p.live.weights, p2.live.weights):
             assert np.array_equal(a, b)
+
+    def test_live_arrays_own_their_memory_after_train(self, tmp_path):
+        env, spec, p, cfg, rng = self.make(seed=7, steps=200)
+        ids = [id(a) for a in p.live.weights + p.live.biases]
+        before = [a.copy() for a in p.live.weights]
+        train(env, spec, p, cfg, rng)
+        arrays = p.live.weights + p.live.biases
+        assert [id(a) for a in arrays] == ids
+        for a in arrays:
+            assert a.flags.c_contiguous and a.flags.owndata and a.base is None
+        assert any(not np.array_equal(a, b) for a, b in zip(p.live.weights, before))
+        # the arrays stay usable by pruning, rewind and checkpoints
+        prune_step(p)
+        for w, m in zip(p.live.weights, p.masks):
+            assert np.all(w[~m] == 0.0)
+        save_prunable(tmp_path / "p.ckpt", p)
+        loaded = load_checkpoint(tmp_path / "p.ckpt")
+        for a, b in zip(loaded.weights.weights, p.live.weights):
+            assert np.array_equal(a, b)
+        rewind(p)
+        for w, i, m in zip(p.live.weights, p.initial.weights, p.masks):
+            assert np.array_equal(w, np.where(m, i, 0.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverged_run_leaves_trained_values_in_live(self):
+        env, spec, p, cfg, rng = self.make(seed=4)
+        cfg.learning_rate = 1e200
+        ids = [id(a) for a in p.live.weights]
+        init = [a.copy() for a in p.live.weights]
+        with pytest.raises(TrainingDiverged):
+            train(env, spec, p, cfg, rng)
+        assert [id(a) for a in p.live.weights] == ids
+        assert all(a.flags.owndata for a in p.live.weights)
+        assert any(not np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(p.live.weights, init))
 
     def test_epsilon_schedule_linear(self):
         params = AgentParams(None, None, 0.99, 1e-3, 1.0, 0.1, 100, 10)
