@@ -16,8 +16,8 @@ from .network import (LayerSpec, NetworkSpec, StaticCountReport, WeightSet,
                       static_network_multiplications)
 from .pruning import (PrunableWeights, SparsityReport, prune_step,
                       report_sparsity, rewind, schedule_fraction)
-from .reporting import (RunRecord, build_table, build_tradeoff_curve,
-                        curve_csv, record_from_counters, write_report_files)
-from .training import (AgentParams, Batch, EvalResult, PipelineResult,
-                       ReplayBuffer, TrainingDiverged, double_q_target,
-                       evaluate, lottery_pipeline, train)
+from .reporting import (RunRecord, build_table, curve_csv,
+                        record_from_counters, write_report_files)
+from .training import (Batch, EvalResult, PipelineResult, ReplayBuffer,
+                       TrainingDiverged, double_q_target, evaluate,
+                       lottery_pipeline, train)

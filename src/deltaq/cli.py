@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_prunable
-from .config import ConfigError, load_config, write_config
+from .config import ConfigError, load_config, parse_thresholds, write_config
 from .envs import make_env
 from .network import build_reference_dqn, static_network_multiplications
 from .pruning import report_sparsity
@@ -143,12 +142,9 @@ def cmd_delta_eval(args) -> int:
         print("error: episodes must be >= 1", file=sys.stderr)
         return 2
     try:
-        thresholds = [float(s) for s in args.threshold.split(",")]
-    except ValueError:
-        print(f"error: bad threshold list {args.threshold!r}", file=sys.stderr)
-        return 2
-    if not all(math.isfinite(t) and t >= 0 for t in thresholds):
-        print("error: thresholds must be finite and >= 0", file=sys.stderr)
+        thresholds = parse_thresholds(args.threshold)
+    except ValueError as e:
+        print(f"error: --threshold: {e}", file=sys.stderr)
         return 2
 
     try:
@@ -168,6 +164,11 @@ def cmd_delta_eval(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     spec = ckpt.spec
+    if (spec.input_shape, spec.n_output) != (env.state_shape, env.n_actions):
+        print(f"error: {ckpt_path}: network {spec.input_shape} -> {spec.n_output} does "
+              f"not fit {env_name} {env.state_shape} -> {env.n_actions} actions",
+              file=sys.stderr)
+        return 2
     p = ckpt.to_prunable() if ckpt.masks is not None and ckpt.initial is not None else None
     masks = ckpt.masks
     if p is not None:

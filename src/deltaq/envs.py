@@ -232,7 +232,7 @@ class MiniInvaders(Environment):
         return s
 
 
-_REGISTRY = {
+ENVS = {
     MiniBreakout.name: MiniBreakout,
     MiniInvaders.name: MiniInvaders,
 }
@@ -240,10 +240,10 @@ _REGISTRY = {
 
 def make_env(name: str, seed: int, max_steps: int = 400) -> Environment:
     """Build a named environment seeded for reproducible episode streams."""
-    if name not in _REGISTRY:
+    if name not in ENVS:
         raise ValueError(
-            f"unknown environment {name!r}; choose from {sorted(_REGISTRY)}")
-    return _REGISTRY[name](seed=seed, max_steps=max_steps)
+            f"unknown environment {name!r}; choose from {sorted(ENVS)}")
+    return ENVS[name](seed=seed, max_steps=max_steps)
 
 
 def follow_ball_policy(state: np.ndarray) -> int:

@@ -133,14 +133,6 @@ CURVE_HEADER = ("iteration,sparsity_total,reward_dense,reward_delta,"
                 "reduction_factor")
 
 
-def build_tradeoff_curve(records: list[RunRecord]) -> list[tuple]:
-    """One row per record, ordered by sparsity: (sparsity, reward_dense,
-    reward_delta, significant_fraction)."""
-    ordered = sorted(records, key=lambda r: r.sparsity_total)
-    return [(r.sparsity_total, r.reward_dense, r.reward_delta,
-             r.significant_fraction) for r in ordered]
-
-
 def curve_csv(records: list[RunRecord]) -> str:
     ordered = sorted(records, key=lambda r: (r.sparsity_total, r.threshold))
     lines = [CURVE_HEADER]

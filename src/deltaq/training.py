@@ -282,28 +282,8 @@ class Adam:
 # double Q-learning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AgentParams:
-    """Everything the learner carries besides the replay buffer."""
-
-    online: WeightSet
-    target: WeightSet
-    gamma: float
-    learning_rate: float
-    epsilon_start: float
-    epsilon_end: float
-    epsilon_decay_steps: int
-    target_sync: int
-
-    def epsilon(self, step: int) -> float:
-        if self.epsilon_decay_steps <= 0:
-            return self.epsilon_end
-        frac = min(1.0, step / self.epsilon_decay_steps)
-        return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
-
-
-def double_q_target(batch: Batch, spec: NetworkSpec,
-                    params: AgentParams) -> np.ndarray:
+def double_q_target(batch: Batch, spec: NetworkSpec, online: WeightSet,
+                    target: WeightSet, gamma: float) -> np.ndarray:
     """y = r + gamma * Q_target(s', argmax_a Q_online(s', a)); terminal
     transitions use y = r. Action selection and valuation are decoupled."""
     first = spec.layers[0]
@@ -311,13 +291,11 @@ def double_q_target(batch: Batch, spec: NetworkSpec,
     if first.kind == "conv2d":  # one im2col of s' serves both networks
         cols = _im2col_batch(batch.next_states, first.kernel_y,
                              first.kernel_x, first.stride)
-    q_online = forward_batch(spec, params.online, batch.next_states,
-                             first_cols=cols)
+    q_online = forward_batch(spec, online, batch.next_states, first_cols=cols)
     best = np.argmax(q_online, axis=1)
-    q_target = forward_batch(spec, params.target, batch.next_states,
-                             first_cols=cols)
+    q_target = forward_batch(spec, target, batch.next_states, first_cols=cols)
     bootstrap = q_target[np.arange(len(best)), best]
-    return batch.rewards + params.gamma * np.where(batch.dones, 0.0, bootstrap)
+    return batch.rewards + gamma * np.where(batch.dones, 0.0, bootstrap)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +352,7 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
     grads = _flat_views(spec, grad)
     # weights lead the flat layout, so the raveled masks index it directly
     masked = np.flatnonzero(np.concatenate([~m.ravel() for m in p.masks]))
-    params = AgentParams(
-        online=online, target=_flat_views(spec, theta_target), gamma=cfg.gamma,
-        learning_rate=cfg.learning_rate, epsilon_start=cfg.epsilon_start,
-        epsilon_end=cfg.epsilon_end,
-        epsilon_decay_steps=cfg.epsilon_decay_steps,
-        target_sync=cfg.target_sync)
+    target = _flat_views(spec, theta_target)
     opt = Adam(theta, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
                beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     buffer = ReplayBuffer(cfg.buffer_capacity, env.state_shape)
@@ -388,12 +361,12 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
     try:
         state = env.reset()
         for step in range(cfg.steps):
-            eps = params.epsilon(step)
+            eps = cfg.epsilon(step)
             if rng.random() < eps:
                 action = int(rng.integers(env.n_actions))
             else:
                 try:
-                    action = greedy_action(spec, params.online, state)
+                    action = greedy_action(spec, online, state)
                 except ValueError as e:  # non-finite activations: weights blew up
                     raise TrainingDiverged(
                         f"non-finite network output at step {step} "
@@ -405,9 +378,9 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
             if buffer.size >= max(cfg.min_buffer, cfg.batch_size) and \
                     step % cfg.update_every == 0:
                 batch = buffer.sample(cfg.batch_size, rng)
-                y = double_q_target(batch, spec, params)
+                y = double_q_target(batch, spec, online, target, cfg.gamma)
                 loss, _, _ = q_loss_and_grads(
-                    spec, params.online, batch.states, batch.actions, y,
+                    spec, online, batch.states, batch.actions, y,
                     delta=cfg.huber_delta, grads=grads)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
@@ -424,7 +397,7 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
 
             if eval_env is not None and cfg.eval_every > 0 and \
                     (step + 1) % cfg.eval_every == 0:
-                score = evaluate(eval_env, spec, params.online,
+                score = evaluate(eval_env, spec, online,
                                  cfg.curve_episodes).mean_reward
                 result.curve.append((step + 1, score))
     finally:

@@ -383,7 +383,7 @@ def test_criterion_8_gradient_check():
 @_report("criterion 9: double-Q decoupling and terminal cases are exact")
 def test_criterion_9_double_q():
     from deltaq.network import WeightSet
-    from deltaq.training import AgentParams, Batch, double_q_target
+    from deltaq.training import Batch, double_q_target
 
     spec = NetworkSpec(
         layers=(LayerSpec("dense", in_size=1, out_size=2,
@@ -391,16 +391,15 @@ def test_criterion_9_double_q():
         input_shape=(1, 1, 1), n_output=2)
     online = WeightSet([np.zeros((2, 1))], [np.array([1.0, 3.0])])
     target = WeightSet([np.zeros((2, 1))], [np.array([10.0, 0.0])])
-    params = AgentParams(online, target, 0.9, 1e-3, 1.0, 0.1, 100, 10)
 
     decoupled = Batch(states=np.zeros((1, 1, 1, 1)), actions=np.array([0]),
                       rewards=np.array([0.0]),
                       next_states=np.zeros((1, 1, 1, 1)),
                       dones=np.array([False]))
-    assert double_q_target(decoupled, spec, params)[0] == 0.0
+    assert double_q_target(decoupled, spec, online, target, 0.9)[0] == 0.0
 
     terminal = Batch(states=np.zeros((1, 1, 1, 1)), actions=np.array([0]),
                      rewards=np.array([1.0]),
                      next_states=np.zeros((1, 1, 1, 1)),
                      dones=np.array([True]))
-    assert double_q_target(terminal, spec, params)[0] == 1.0
+    assert double_q_target(terminal, spec, online, target, 0.9)[0] == 1.0

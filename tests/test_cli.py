@@ -131,6 +131,17 @@ class TestPipeline:
         assert fragment in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ["preset = reference", "n_output = 6"])
+    def test_removed_network_keys_exit_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "old.ini"
+        bad.write_text(SMOKE_CONFIG.replace("[network]\n", f"[network]\n{line}\n"))
+        out = tmp_path / "never"
+        assert main(["pipeline", "--config", str(bad), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert not (out / "config.ini").exists()
+        assert "unknown key" in capsys.readouterr().err
+
+
 class TestDeltaEval:
     def test_threshold_zero_matches_dense(self, smoke_run, tmp_path):
         _, _, out = smoke_run
@@ -238,6 +249,16 @@ class TestBadInputsExit2:
                      "1", "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err and key in err
+
+    def test_delta_eval_network_does_not_fit_env(self, smoke_run, tmp_path,
+                                                 capsys):
+        _, _, out = smoke_run  # a 3-action mini-breakout network
+        ckpt = out / "checkpoints" / "iter_001.ckpt"
+        dest = tmp_path / "m"
+        assert main(["delta-eval", "--checkpoint", str(ckpt), "--env",
+                     "mini-invaders", "--episodes", "1", "--out", str(dest)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not dest.exists()
 
     def test_delta_eval_unknown_env(self, smoke_run, tmp_path, capsys):
         _, _, out = smoke_run

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from deltaq.config import ConfigError, load_config, write_config
+from deltaq.config import (SCHEMA, ConfigError, RunConfig, TrainingConfig,
+                           load_config, write_config)
 
 
 def test_defaults_load_without_file():
@@ -74,12 +77,6 @@ def test_network_builders():
     assert cfg.scope_indices(spec) == (0, 1, 2)
     cfg.prune_scope = "0,2"
     assert cfg.scope_indices(spec) == (0, 2)
-
-    cfg.network_preset = "reference"
-    cfg.n_output = 6
-    ref = cfg.build_network((4, 84, 84), 3)
-    assert ref.n_output == 6
-    assert len(ref.layers) == 5
 
 
 def test_write_config_roundtrip(tmp_path):
@@ -174,17 +171,59 @@ def test_unknown_sections_and_keys_rejected(tmp_path, text, fragment):
     assert fragment in str(exc.value)
 
 
-@pytest.mark.parametrize("preset,scope", [
-    ("scaled", "0,7"), ("scaled", "3"), ("scaled", "-1"), ("reference", "5"),
-])
-def test_scope_outside_network_rejected(tmp_path, preset, scope):
+# the ids name the network: every configured network is the 3-layer scaled DQN
+@pytest.mark.parametrize("scope", ["0,7", "3", "-1"], ids=lambda s: f"scaled-{s}")
+def test_scope_outside_network_rejected(tmp_path, scope):
     path = tmp_path / "scope.ini"
-    path.write_text(f"[network]\npreset = {preset}\n[pruning]\nscope = {scope}\n")
+    path.write_text(f"[pruning]\nscope = {scope}\n")
     with pytest.raises(ConfigError, match="\\[pruning\\] scope"):
         load_config(path)
 
 
 def test_scope_inside_network_accepted(tmp_path):
     path = tmp_path / "scope.ini"
-    path.write_text("[network]\npreset = reference\n[pruning]\nscope = 0,4\n")
-    assert load_config(path).prune_scope == "0,4"
+    path.write_text("[pruning]\nscope = 0,2\n")
+    assert load_config(path).prune_scope == "0,2"
+
+
+def test_defaults_equal_dataclass_defaults():
+    assert load_config(None) == RunConfig()
+
+
+def test_written_config_loads_like_its_source(tmp_path):
+    src = tmp_path / "in.ini"
+    src.write_text("[env]\nname = mini-invaders\nmax_steps = 77\n"
+                   "[network]\nconv_filters = 8\n"
+                   "[training]\nadam_eps = 3e-7\nbuffer_capacity = 900\n"
+                   "[pruning]\nscope = all\n"
+                   "[delta]\nthresholds = 0,0.01\ninput_threshold = 0.002\n")
+    out = tmp_path / "out.ini"
+    write_config(src, out)
+    cfg = load_config(src)
+    assert cfg != RunConfig()
+    assert load_config(out) == cfg
+
+
+def test_schema_names_every_field_once():
+    fields = {(cls, f.name) for cls in (RunConfig, TrainingConfig)
+              for f in dataclasses.fields(cls)} - {(RunConfig, "training")}
+    rows = [(TrainingConfig if k.section == "training" else RunConfig, k.attr)
+            for k in SCHEMA]
+    assert len(rows) == len(set(rows)) == 30
+    assert set(rows) == fields
+
+
+@pytest.mark.parametrize("key", ["min_buffer", "batch_size"])
+def test_buffer_smaller_than_warmup_or_batch_rejected(tmp_path, key):
+    path = tmp_path / "buf.ini"
+    path.write_text(f"[training]\nbuffer_capacity = 100\n{key} = 200\n")
+    with pytest.raises(ConfigError, match=f"\\[training\\] {key}: .*buffer_capacity"):
+        load_config(path)
+
+
+def test_buffer_equal_to_warmup_and_batch_accepted(tmp_path):
+    path = tmp_path / "buf.ini"
+    path.write_text("[training]\nbuffer_capacity = 100\nmin_buffer = 100\n"
+                    "batch_size = 100\n")
+    assert load_config(path).training.buffer_capacity == 100
+

@@ -4,8 +4,8 @@ import pytest
 
 from deltaq.delta import OpCounter
 from deltaq.network import build_reference_dqn, build_scaled_dqn
-from deltaq.reporting import (RunRecord, build_table, build_tradeoff_curve,
-                              curve_csv, record_from_counters,
+from deltaq.reporting import (RunRecord, build_table, curve_csv,
+                              record_from_counters,
                               records_from_json, records_to_json,
                               write_report_files)
 
@@ -71,20 +71,26 @@ class TestTable:
         assert curve_csv(recs) == curve_csv(recs)
 
 
+def curve_rows(records) -> list[dict[str, float]]:
+    """curve_csv's data rows, keyed by header column."""
+    header, *lines = curve_csv(records).splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(","))))
+            for line in lines]
+
+
 class TestCurve:
     def test_single_record_single_row(self):
-        rows = build_tradeoff_curve([synthetic_record()])
+        rows = curve_rows([synthetic_record()])
         assert len(rows) == 1
-        sparsity, rd, rdelta, frac = rows[0]
-        assert sparsity == 0.79
-        assert 0.0 < frac <= 1.0
+        assert rows[0]["sparsity_total"] == 0.79
+        assert 0.0 < rows[0]["significant_fraction"] <= 1.0
 
     def test_rows_sorted_by_sparsity(self):
         recs = [synthetic_record(iteration=2), synthetic_record(iteration=1)]
         recs[0].sparsity_total = 0.36
         recs[1].sparsity_total = 0.20
-        rows = build_tradeoff_curve(recs)
-        assert [r[0] for r in rows] == [0.20, 0.36]
+        rows = curve_rows(recs)
+        assert [r["sparsity_total"] for r in rows] == [0.20, 0.36]
 
     def test_three_iteration_fractions_hand_computed(self):
         recs = []
@@ -93,8 +99,8 @@ class TestCurve:
                                  static_total=1000)
             r.sparsity_total = i * 0.1
             recs.append(r)
-        rows = build_tradeoff_curve(recs)
-        assert [row[3] for row in rows] == [0.1, 0.05, 0.025]
+        rows = curve_rows(recs)
+        assert [r["significant_fraction"] for r in rows] == [0.1, 0.05, 0.025]
 
     def test_csv_header_and_shape(self):
         text = curve_csv([synthetic_record()])

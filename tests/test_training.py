@@ -7,7 +7,7 @@ from deltaq.envs import make_env
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
                             build_scaled_dqn, forward, init_weights)
 from deltaq.pruning import PrunableWeights, prune_step, rewind
-from deltaq.training import (ADAM_CHUNK, Adam, AgentParams, Batch,
+from deltaq.training import (ADAM_CHUNK, Adam, Batch,
                              ReplayBuffer, TrainingDiverged, double_q_target,
                              _flat_views, evaluate, forward_batch, huber,
                              q_loss_and_grads, train)
@@ -118,8 +118,8 @@ class TestDoubleQTarget:
                       actions=np.array([0]), rewards=np.array([1.0]),
                       next_states=np.zeros((1, 1, 1, 1)),
                       dones=np.array([True]))
-        params = AgentParams(online, target, 0.9, 1e-3, 1.0, 0.1, 100, 10)
-        assert double_q_target(batch, spec, params) == pytest.approx([1.0])
+        assert double_q_target(batch, spec, online, target, 0.9) == \
+            pytest.approx([1.0])
 
     def test_decoupled_argmax(self):
         # online picks action 1, target values it at 0
@@ -128,8 +128,8 @@ class TestDoubleQTarget:
                       actions=np.array([0]), rewards=np.array([0.0]),
                       next_states=np.zeros((1, 1, 1, 1)),
                       dones=np.array([False]))
-        params = AgentParams(online, target, 0.9, 1e-3, 1.0, 0.1, 100, 10)
-        assert double_q_target(batch, spec, params) == pytest.approx([0.0])
+        assert double_q_target(batch, spec, online, target, 0.9) == \
+            pytest.approx([0.0])
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
@@ -142,8 +142,7 @@ class TestDoubleQTarget:
                       rewards=rng.normal(size=b),
                       next_states=rng.normal(size=(b, 2, 4, 4)),
                       dones=rng.random(b) < 0.3)
-        params = AgentParams(online, target, 0.95, 1e-3, 1.0, 0.1, 100, 10)
-        y = double_q_target(batch, spec, params)
+        y = double_q_target(batch, spec, online, target, 0.95)
         for i in range(b):
             if batch.dones[i]:
                 expect = batch.rewards[i]
@@ -381,11 +380,12 @@ class TestTrain:
                    for a, b in zip(p.live.weights, init))
 
     def test_epsilon_schedule_linear(self):
-        params = AgentParams(None, None, 0.99, 1e-3, 1.0, 0.1, 100, 10)
-        assert params.epsilon(0) == 1.0
-        assert params.epsilon(50) == pytest.approx(0.55)
-        assert params.epsilon(100) == pytest.approx(0.1)
-        assert params.epsilon(500) == pytest.approx(0.1)
+        cfg = TrainingConfig(epsilon_start=1.0, epsilon_end=0.1,
+                             epsilon_decay_steps=100)
+        assert cfg.epsilon(0) == 1.0
+        assert cfg.epsilon(50) == pytest.approx(0.55)
+        assert cfg.epsilon(100) == pytest.approx(0.1)
+        assert cfg.epsilon(500) == pytest.approx(0.1)
 
 
 class TestEvaluate:
