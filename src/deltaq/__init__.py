@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, save_prunable
 from .config import ConfigError, RunConfig, TrainingConfig, load_config
-from .delta import (DeltaLayerState, DeltaNetwork, OpCounter,
-                    measure_delta_sparsity)
+from .delta import DeltaNetwork, OpCounter, measure_delta_sparsity
 from .envs import (Environment, MiniBreakout, MiniInvaders, follow_ball_policy,
                    make_env, random_policy_reward, run_policy)
 from .network import (LayerSpec, NetworkSpec, StaticCountReport, WeightSet,

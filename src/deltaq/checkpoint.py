@@ -89,12 +89,12 @@ class Checkpoint:
         self.initial = initial
         self.extra = extra
 
-    def to_prunable(self, rate: float | None = None) -> PrunableWeights:
+    def to_prunable(self) -> PrunableWeights:
         """Rebuild a PrunableWeights; requires masks and initial snapshot."""
         if self.masks is None or self.initial is None:
             raise CheckpointError("checkpoint lacks masks or initial weights")
-        r = rate if rate is not None else float(self.extra.get("rate", 0.2))
-        p = PrunableWeights.create(self.spec, self.initial, rate=r)
+        p = PrunableWeights.create(self.spec, self.initial,
+                                   rate=float(self.extra.get("rate", 0.2)))
         p.live = self.weights.copy()
         p.masks = [m.copy() for m in self.masks]
         p.iteration = int(self.extra.get("iteration", 0))

@@ -120,8 +120,6 @@ def cmd_pipeline(args) -> int:
         "baseline_curve": result.baseline_curve,
     }
     curve_records = [r for r in records if r.threshold == cfg.curve_threshold]
-    if not curve_records:
-        curve_records = records
     artifacts += write_report_files(out_dir, curve_records, meta)
     all_path = out_dir / "records_all.json"
     all_path.write_text(records_to_json(records, meta))
@@ -205,13 +203,24 @@ def cmd_report(args) -> int:
     if not src.exists():
         print(f"error: records file not found: {src}", file=sys.stderr)
         return 2
-    records, meta = records_from_json(src.read_text())
+    try:
+        records, meta = records_from_json(src.read_text())
+    except (ValueError, TypeError, KeyError) as e:
+        print(f"error: {src}: not a records file: {e}", file=sys.stderr)
+        return 2
     if not records:
         print("error: no records in file", file=sys.stderr)
         return 2
     paths = write_report_files(args.out, records, meta)
     print("\n".join(str(p) for p in paths))
     return 0
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("pipeline",
                         help="run the prune/rewind/retrain pipeline")
     pl.add_argument("--config", default=None, help="run configuration file")
-    pl.add_argument("--seed", type=int, default=0)
+    pl.add_argument("--seed", type=_seed, default=0)
     pl.add_argument("--out", required=True, help="run output directory")
     pl.set_defaults(fn=cmd_pipeline)
 
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--threshold", default="0,0.001",
                     help="comma-separated threshold list")
     de.add_argument("--episodes", type=int, default=30)
-    de.add_argument("--seed", type=int, default=0)
+    de.add_argument("--seed", type=_seed, default=0)
     de.add_argument("--env", default=None,
                     help="environment name (default: from checkpoint)")
     de.add_argument("--out", required=True)

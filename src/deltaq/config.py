@@ -231,6 +231,11 @@ def _cross_key_errors(cfg: RunConfig) -> list[str]:
               f"({tc.buffer_capacity}), got {getattr(tc, name)}"
               for name in ("min_buffer", "batch_size")
               if getattr(tc, name) > tc.buffer_capacity]
+    # curve.csv holds the curve threshold's rows only and has no threshold
+    # column, so that threshold must be one that is evaluated
+    if cfg.curve_threshold not in cfg.thresholds:
+        errors.append(f"[delta] curve_threshold: must be one of thresholds "
+                      f"({_format(cfg.thresholds)}), got {cfg.curve_threshold}")
     # the network must fit the environment's frames, and the pruning scope
     # must name its layers
     env = make_env(cfg.env_name, seed=0)

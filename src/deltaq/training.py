@@ -467,7 +467,6 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
         counter.timesteps = steps
         counter.significant_multiplications[1:] = \
             [r.multiplications * steps for r in rows if r.name != "Flatten"]
-        counter.events_received[1:] = [n * steps for n in sizes[:-1]]
         counter.events_sent[:] = [n * steps for n in sizes]
     return EvalResult(float(np.mean(rewards)), rewards, counter)
 

@@ -219,6 +219,18 @@ class TestReport:
         assert main(["report", "--records", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "z")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "not json", '{"records": [{"iteration": 1}]}',
+    ], ids=["not-json", "missing-fields"])
+    def test_unreadable_records_exit_2(self, tmp_path, capsys, text):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        dest = tmp_path / "r"
+        assert main(["report", "--records", str(src), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:")
+        assert not dest.exists()
+
 
 class TestBadInputsExit2:
     def test_pipeline_network_too_large_for_frames(self, tmp_path, capsys):
@@ -229,6 +241,30 @@ class TestBadInputsExit2:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert "does not fit" in capsys.readouterr().err
+
+    def test_pipeline_curve_threshold_not_evaluated(self, tmp_path, capsys):
+        bad = tmp_path / "curve.ini"
+        # smoke-sized, should the rule ever let the run through
+        bad.write_text(SMOKE_CONFIG + "[delta]\nthresholds = 0,0.001\n"
+                       "curve_threshold = 0.5\n")
+        out = tmp_path / "never"
+        assert main(["pipeline", "--config", str(bad), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "[delta] curve_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["pipeline"], ["delta-eval", "--checkpoint", "any.ckpt"],
+    ], ids=["pipeline", "delta-eval"])
+    def test_negative_seed_rejected_before_writing(self, tmp_path, capsys,
+                                                   command):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --seed: must be an integer >= 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
         ("rate", 5), ("rate", "0.2"), ("iteration", -1), ("scope", [9]),

@@ -25,6 +25,7 @@ rate = 0.1
 iterations = 5
 [delta]
 thresholds = 0,0.01,0.1
+curve_threshold = 0.01
 """)
     cfg = load_config(path)
     assert cfg.env_name == "mini-invaders"
@@ -196,7 +197,8 @@ def test_written_config_loads_like_its_source(tmp_path):
                    "[network]\nconv_filters = 8\n"
                    "[training]\nadam_eps = 3e-7\nbuffer_capacity = 900\n"
                    "[pruning]\nscope = all\n"
-                   "[delta]\nthresholds = 0,0.01\ninput_threshold = 0.002\n")
+                   "[delta]\nthresholds = 0,0.01\ninput_threshold = 0.002\n"
+                   "curve_threshold = 0.01\n")
     out = tmp_path / "out.ini"
     write_config(src, out)
     cfg = load_config(src)

@@ -43,14 +43,14 @@ class TestInitialization:
         for b in w.biases:
             b[:] = rng.normal(size=b.shape)
         dn = DeltaNetwork(spec, w, thresholds=0.0)
-        for k, layer in enumerate(spec.layers):
+        for k, (layer, shape) in enumerate(zip(spec.layers,
+                                               spec.output_shapes())):
             if layer.kind == "conv2d":
-                expect = np.broadcast_to(
-                    w.biases[k].reshape(-1, 1, 1), dn.layers[k].o.shape)
+                expect = np.broadcast_to(w.biases[k].reshape(-1, 1, 1), shape)
             else:
                 expect = w.biases[k]
-            assert np.array_equal(dn.layers[k].o, expect)
-            assert np.array_equal(dn.layers[k].x_prev,
+            assert np.array_equal(dn.layers[k].o.reshape(shape), expect)
+            assert np.array_equal(dn.layers[k].x,
                                   np.zeros_like(dn.layers[k].o))
 
     def test_zero_bias_all_state_zero(self):
@@ -202,15 +202,15 @@ class TestInvariants:
         for k, layer in enumerate(spec.layers):
             rcv = received[labels[k]].reshape(shapes[k])
             if layer.kind == "conv2d":
-                expect = conv2d_single(rcv, dn.w_masked[k], w.biases[k],
+                expect = conv2d_single(rcv, dn.layers[k].w, w.biases[k],
                                        layer.stride)
             else:
-                expect = dn.w_masked[k] @ rcv.ravel() + w.biases[k]
-            np.testing.assert_allclose(dn.layers[k].o, expect, atol=1e-9)
+                expect = dn.layers[k].w.T @ rcv.ravel() + w.biases[k]
+            np.testing.assert_allclose(dn.layers[k].o, expect.ravel(), atol=1e-9)
         # and the transmitted values equal the cumulative sent deltas
         for k in range(len(spec.layers)):
             np.testing.assert_allclose(
-                dn.layers[k].x_prev.ravel(), received[labels[k + 1]], atol=1e-9)
+                dn.layers[k].x, received[labels[k + 1]], atol=1e-9)
 
     def test_events_sent_monotone_in_own_threshold(self):
         rng = np.random.default_rng(12)
@@ -297,7 +297,7 @@ class TestInvariants:
         for k, layer in enumerate(spec.layers):
             st = dn.layers[k]
             act = np.maximum(st.o, 0.0) if layer.activation == "relu" else st.o
-            assert np.all(np.abs(act - st.x_prev) < t_val)
+            assert np.all(np.abs(act - st.x) < t_val)
 
 
 class TestSparsityMeasure:
@@ -465,7 +465,7 @@ class TestGeometrySweep:
             ctr = dn.counter
             assert ctr.significant_multiplications[0] == 0
             assert ctr.significant_multiplications[1:].tolist() == ref.mults
-            assert ctr.events_received[1:].tolist() == ref.events_received
+            assert ctr.events_sent[:-1].tolist() == ref.events_received
             assert ctr.events_sent.tolist() == ref.events_sent
             assert ctr.timesteps == len(frames)
             for got, want in zip(outs, ref.outputs):
@@ -541,9 +541,9 @@ def fired_per_step(dn, frames, k):
     """Step dn through frames; per step, the events layer k received."""
     counts = []
     for f in frames:
-        before = int(dn.counter.events_received[k + 1])
+        before = int(dn.counter.events_sent[k])
         dn.step(f)
-        counts.append(int(dn.counter.events_received[k + 1]) - before)
+        counts.append(int(dn.counter.events_sent[k]) - before)
     return counts
 
 
@@ -579,7 +579,7 @@ class TestDensePathChoice:
             ctr = dn.counter
             assert ctr.significant_multiplications[0] == 0
             assert ctr.significant_multiplications[1:].tolist() == ref.mults
-            assert ctr.events_received[1:].tolist() == ref.events_received
+            assert ctr.events_sent[:-1].tolist() == ref.events_received
             assert ctr.events_sent.tolist() == ref.events_sent
             dn.reset_state()
             for f, want in zip(frames, ref.outputs):
@@ -613,7 +613,7 @@ class TestMaskedFilterStaysSilent:
         assert later and not any(25 <= i < 50 for i in later)
         ref = naive_delta_run(spec, w, masks, 0.0, None, frames)
         assert dn.counter.significant_multiplications[1:].tolist() == ref.mults
-        assert dn.counter.events_received[1:].tolist() == ref.events_received
+        assert dn.counter.events_sent[:-1].tolist() == ref.events_received
         assert dn.counter.events_sent.tolist() == ref.events_sent
         for got, want in zip(outs, ref.outputs):
             np.testing.assert_allclose(got, want, atol=1e-9)

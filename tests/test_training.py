@@ -457,7 +457,6 @@ class TestEvaluate:
         assert c.layer_names == ("Input", "Conv2d-1", "Dense-1", "Dense-2")
         assert c.significant_multiplications.tolist() == \
             [0, 64 * 4 * 9 * 4 * t, 256 * 16 * t, 16 * 3 * t]
-        assert c.events_received.tolist() == [0, 400 * t, 256 * t, 16 * t]
         assert c.events_sent.tolist() == [400 * t, 256 * t, 16 * t, 3 * t]
 
     def test_episode_validation(self):
