@@ -19,7 +19,7 @@ print("\npruning scope defaults to the conv layers:", p.scope)
 
 for i in range(1, 6):
     prune_step(p)
-    rep = report_sparsity(p)
+    rep = report_sparsity(p.masks, p.scope)
     print(f"iteration {i}: per-layer {['%.3f' % s for s in rep.per_layer]} "
           f"scope total {rep.scope_total:.3f} "
           f"(schedule {schedule_fraction(0.2, i):.3f})")

@@ -89,24 +89,11 @@ class Checkpoint:
         self.initial = initial
         self.extra = extra
 
-    def to_prunable(self) -> PrunableWeights:
-        """Rebuild a PrunableWeights; requires masks and initial snapshot."""
-        if self.masks is None or self.initial is None:
-            raise CheckpointError("checkpoint lacks masks or initial weights")
-        p = PrunableWeights.create(self.spec, self.initial,
-                                   rate=float(self.extra.get("rate", 0.2)))
-        p.live = self.weights.copy()
-        p.masks = [m.copy() for m in self.masks]
-        p.iteration = int(self.extra.get("iteration", 0))
-        if "scope" in self.extra:
-            p.scope = tuple(self.extra["scope"])
-        p.apply()
-        return p
-
 
 def _check_extra(extra: Any, n_layers: int) -> None:
-    """The extra keys read back by to_prunable and delta-eval hold usable
-    values when present; other keys are free-form."""
+    """The schedule and environment keys (rate, iteration, scope, env,
+    env_max_steps) hold usable values when present; other keys are
+    free-form."""
     if not isinstance(extra, dict):
         raise TypeError(f"extra is {type(extra).__name__}, not an object")
     rate = extra.get("rate", 0.2)

@@ -20,12 +20,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_prunable
 from .config import ConfigError, load_config, parse_thresholds, write_config
 from .envs import make_env
 from .network import build_reference_dqn, static_network_multiplications
-from .pruning import report_sparsity
+from .pruning import default_scope, report_sparsity
 from .reporting import (RunRecord, record_from_counters, records_from_json,
                         records_to_json, write_report_files)
 from .training import evaluate, lottery_pipeline
@@ -96,20 +98,16 @@ def cmd_pipeline(args) -> int:
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     records: list[RunRecord] = []
-    p = result.prunable
     for rec in result.records:
-        p.live = rec.weights.copy()
-        p.masks = [m.copy() for m in rec.masks]
-        p.iteration = rec.iteration
-        ckpt = ckpt_dir / f"iter_{rec.iteration:03d}.ckpt"
-        save_prunable(ckpt, p, extra={"env": cfg.env_name,
-                                      "env_max_steps": cfg.env_max_steps,
-                                      "seed": args.seed})
+        iteration = rec.pruned.iteration
+        ckpt = ckpt_dir / f"iter_{iteration:03d}.ckpt"
+        save_prunable(ckpt, rec.pruned, extra={
+            "env": cfg.env_name, "env_max_steps": cfg.env_max_steps,
+            "seed": args.seed})
         artifacts.append(ckpt)
         for t, ev in rec.delta_results.items():
             records.append(record_from_counters(
-                spec, rec.iteration, t, rec.per_layer_sparsity,
-                rec.sparsity_scope, rec.sparsity_all, ev.counter,
+                spec, iteration, t, rec.sparsity, ev.counter,
                 rec.reward_dense, ev.mean_reward))
 
     meta = {
@@ -167,26 +165,22 @@ def cmd_delta_eval(args) -> int:
               f"not fit {env_name} {env.state_shape} -> {env.n_actions} actions",
               file=sys.stderr)
         return 2
-    p = ckpt.to_prunable() if ckpt.masks is not None and ckpt.initial is not None else None
-    masks = ckpt.masks
-    if p is not None:
-        sp = report_sparsity(p)
-        per_layer, sp_scope, sp_all = sp.per_layer, sp.scope_total, sp.total
-        iteration = p.iteration
-    else:
-        per_layer = tuple(0.0 for _ in spec.layers)
-        sp_scope = sp_all = 0.0
-        iteration = 0
+    masks = ckpt.masks or [np.ones(l.weight_shape(), dtype=bool)
+                           for l in spec.layers]  # no masks: nothing pruned
+    sparsity = report_sparsity(
+        masks, tuple(ckpt.extra.get("scope", default_scope(spec))))
+    iteration = ckpt.extra.get("iteration", 0)
 
-    dense = evaluate(env.fork(args.seed), spec, ckpt.weights, args.episodes,
-                     masks=masks)
+    # the stored weights are masked already: load_checkpoint rejects a
+    # nonzero weight under a False mask
+    dense = evaluate(env.fork(args.seed), spec, ckpt.weights, args.episodes)
     records = []
     for t in thresholds:
         ev = evaluate(env.fork(args.seed), spec, ckpt.weights, args.episodes,
-                      mode="delta", thresholds=t, masks=masks)
+                      mode="delta", thresholds=t)
         records.append(record_from_counters(
-            spec, iteration, t, per_layer, sp_scope, sp_all, ev.counter,
-            dense.mean_reward, ev.mean_reward))
+            spec, iteration, t, sparsity, ev.counter, dense.mean_reward,
+            ev.mean_reward))
 
     out_dir = Path(args.out)
     artifacts = write_report_files(out_dir, records,

@@ -58,8 +58,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, WeightSet, conv2d_single,
-                      im2col_indices)
+from .network import LayerSpec, NetworkSpec, WeightSet, im2col_indices
 from .tensorops import check_finite
 
 # A dense layer adds the full product (delta vector) @ w, zeros included,
@@ -284,11 +283,10 @@ class DeltaNetwork:
         squashing any floating-point drift. Off the hot path by design; no
         routine calls it automatically."""
         prev = self.input_prev
-        in_shapes = [self.spec.input_shape, *self.spec.output_shapes()]
-        for L, in_shape in zip(self.layers, in_shapes):
-            if L.spec.kind == "conv2d":
-                L.o[...] = conv2d_single(prev.reshape(in_shape), L.w, L.b,
-                                         L.spec.stride).ravel()
+        for L in self.layers:
+            if L.spec.kind == "conv2d":  # the im2col GEMM of the dense pass
+                L.o.reshape(L.b.size, -1)[...] = \
+                    L.w2 @ prev[L.cols] + L.b[:, None]
             else:
                 L.o[...] = L.w.T @ prev + L.b
             prev = L.x

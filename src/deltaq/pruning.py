@@ -62,14 +62,14 @@ class PrunableWeights:
             w[~m] = 0.0
 
 
-def prune_step(p: PrunableWeights, scope: tuple[int, ...] | None = None) -> PrunableWeights:
+def prune_step(p: PrunableWeights) -> PrunableWeights:
     """Mask the smallest-magnitude fraction `p.rate` of the surviving weights
-    across `scope`, chosen so the cumulative masked count lands on the
+    across `p.scope`, chosen so the cumulative masked count lands on the
     round((1-(1-r)^i) * n) schedule target. Ties break by (layer, flat index).
 
     Mutates and returns `p`; masks only grow.
     """
-    scope = tuple(scope) if scope is not None else p.scope
+    scope = p.scope
     if not scope:
         raise ValueError("pruning scope is empty")
     for k in scope:
@@ -122,19 +122,14 @@ class SparsityReport:
     scope_total: float  # over the pruning-scope layers only
 
 
-def report_sparsity(p: PrunableWeights, scope: tuple[int, ...] | None = None) -> SparsityReport:
+def report_sparsity(masks: list[np.ndarray],
+                    scope: tuple[int, ...]) -> SparsityReport:
     """Masked fraction per layer plus totals over all weights and over the
-    pruning scope (the scope total is what the iteration schedule tracks)."""
-    scope = tuple(scope) if scope is not None else p.scope
-    per_layer = tuple(
-        float(m.size - np.count_nonzero(m)) / float(m.size) for m in p.masks
-    )
-    n_all = sum(m.size for m in p.masks)
-    masked_all = sum(m.size - int(np.count_nonzero(m)) for m in p.masks)
-    if scope:
-        n_scope = sum(p.masks[k].size for k in scope)
-        masked_scope = sum(p.masks[k].size - int(np.count_nonzero(p.masks[k])) for k in scope)
-        scope_total = masked_scope / n_scope
-    else:
-        scope_total = 0.0
-    return SparsityReport(per_layer, masked_all / n_all, scope_total)
+    pruning-scope layers (the scope total is what the iteration schedule
+    tracks)."""
+    masked = [m.size - int(np.count_nonzero(m)) for m in masks]
+    sizes = [m.size for m in masks]
+    scope_total = (sum(masked[k] for k in scope) / sum(sizes[k] for k in scope)
+                   if scope else 0.0)
+    return SparsityReport(tuple(n / size for n, size in zip(masked, sizes)),
+                          sum(masked) / sum(sizes), scope_total)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .delta import OpCounter, measure_delta_sparsity
 from .network import NetworkSpec, static_network_multiplications
+from .pruning import SparsityReport
 
 
 @dataclass
@@ -56,11 +57,10 @@ class RunRecord:
 
 
 def record_from_counters(spec: NetworkSpec, iteration: int, threshold: float,
-                         per_layer_sparsity: tuple[float, ...],
-                         sparsity_scope: float, sparsity_all: float,
-                         counter: OpCounter, reward_dense: float,
-                         reward_delta: float) -> RunRecord:
-    """Assemble a RunRecord from a delta-mode counter and sparsity data."""
+                         sparsity: SparsityReport, counter: OpCounter,
+                         reward_dense: float, reward_delta: float) -> RunRecord:
+    """Assemble a RunRecord from a delta-mode counter and the network's
+    weight sparsity."""
     names = spec.layer_names()
     static = static_network_multiplications(spec)
     static_by_layer = {r.name: r.multiplications for r in static.rows
@@ -75,8 +75,8 @@ def record_from_counters(spec: NetworkSpec, iteration: int, threshold: float,
     delta_total = 1.0 - sent / (sum(sizes) * t)
     return RunRecord(
         iteration=iteration, threshold=threshold,
-        sparsity_total=sparsity_scope, sparsity_all=sparsity_all,
-        per_layer_weight_sparsity=dict(zip(names, per_layer_sparsity)),
+        sparsity_total=sparsity.scope_total, sparsity_all=sparsity.total,
+        per_layer_weight_sparsity=dict(zip(names, sparsity.per_layer)),
         per_layer_delta_sparsity=delta_sp,
         per_layer_static=static_by_layer,
         per_layer_measured=measured,
@@ -154,9 +154,32 @@ def records_to_json(records: list[RunRecord], meta: dict | None = None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+# a RunRecord field's annotation -> the JSON values it accepts
+_FIELD_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "float": _is_number,
+    "dict[str, int]": lambda v: isinstance(v, dict) and all(
+        type(k) is str and type(x) is int for k, x in v.items()),
+    "dict[str, float]": lambda v: isinstance(v, dict) and all(
+        type(k) is str and _is_number(x) for k, x in v.items()),
+}
+
+
 def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
+    """Parse a records file; raises ValueError, TypeError or KeyError on
+    bad JSON, missing or unknown fields, or a field of the wrong type."""
     payload = json.loads(text)
     records = [RunRecord(**d) for d in payload["records"]]
+    for i, rec in enumerate(records):
+        for f in fields(RunRecord):
+            v = getattr(rec, f.name)
+            if not _FIELD_CHECKS[f.type](v):
+                raise TypeError(
+                    f"record {i}: {f.name} must be {f.type}, got {v!r}")
     return records, payload.get("meta", {})
 
 

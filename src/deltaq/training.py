@@ -22,7 +22,7 @@ The trained values are copied back into the caller's own arrays at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .delta import DeltaNetwork, OpCounter
 from .envs import Environment, random_policy_reward
 from .network import (NetworkSpec, WeightSet, forward, init_weights,
                       static_network_multiplications)
-from .pruning import PrunableWeights, prune_step, report_sparsity, rewind
+from .pruning import (PrunableWeights, SparsityReport, prune_step,
+                      report_sparsity, rewind)
 
 
 class TrainingDiverged(RuntimeError):
@@ -420,25 +421,22 @@ class EvalResult:
 def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
              episodes: int, mode: str = "dense",
              thresholds: float | list[float] = 0.001,
-             input_threshold: float | None = None,
-             masks: list[np.ndarray] | None = None) -> EvalResult:
+             input_threshold: float | None = None) -> EvalResult:
     """Greedy rollouts; returns mean reward and merged operation counters.
 
+    `weights` are used as given: a pruned network passes its masked live
+    weights (`PrunableWeights.live`), whose pruned entries are zero.
     Dense mode performs (and counts) every static multiplication each step.
     Delta mode drives actions from the event engine's transmitted outputs
-    and counts only significant multiplications.
+    and counts only significant multiplications, which skips zero weights.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if mode == "dense":
-        w_eff = weights.copy() if masks is not None else weights
-        for k, m in enumerate(masks or ()):
-            w_eff.weights[k][~m] = 0.0
-
         def act(state: np.ndarray) -> int:
-            return greedy_action(spec, w_eff, state)
+            return greedy_action(spec, weights, state)
     elif mode == "delta":
-        dn = DeltaNetwork(spec, weights, thresholds, input_threshold, masks)
+        dn = DeltaNetwork(spec, weights, thresholds, input_threshold)
 
         def act(state: np.ndarray) -> int:
             return int(np.argmax(dn.step(state)))
@@ -477,16 +475,15 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
 
 @dataclass
 class PipelineRecord:
-    """One pruning iteration: its sparsity, rewards, and delta counters."""
+    """One pruning iteration: the retrained network's pruned state (live
+    weights, masks, iteration, rate and scope; `initial` is shared with the
+    pipeline's own state, which never writes it), its sparsity, and its
+    rewards and delta counters."""
 
-    iteration: int
-    sparsity_scope: float
-    sparsity_all: float
-    per_layer_sparsity: tuple[float, ...]
+    pruned: PrunableWeights
+    sparsity: SparsityReport
     reward_dense: float
     delta_results: dict[float, EvalResult]
-    weights: WeightSet
-    masks: list[np.ndarray]
     curve: list[tuple[int, float]]
 
 
@@ -497,8 +494,6 @@ class PipelineResult:
     baseline_random: float
     baseline_curve: list[tuple[int, float]]
     baseline_weights: WeightSet
-    spec: NetworkSpec
-    prunable: PrunableWeights
 
 
 def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
@@ -536,25 +531,22 @@ def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
 
     records: list[PipelineRecord] = []
     for i in range(1, n_iterations + 1):
-        prune_step(p, scope)
+        prune_step(p)
         rewind(p)
         rng_i = np.random.default_rng(train_seeds[i])
         res_i = train(env.fork(train_seeds[i]), spec, p, cfg, rng_i,
                       eval_env=env.fork(eval_seed + 1))
-        sp = report_sparsity(p)
-        dense_eval = evaluate(fresh_eval_env(), spec, p.live, eval_episodes,
-                              masks=p.masks)
+        dense_eval = evaluate(fresh_eval_env(), spec, p.live, eval_episodes)
         delta_results = {}
         for t in thresholds:
             delta_results[t] = evaluate(
                 fresh_eval_env(), spec, p.live, eval_episodes, mode="delta",
-                thresholds=t, input_threshold=input_threshold, masks=p.masks)
+                thresholds=t, input_threshold=input_threshold)
         records.append(PipelineRecord(
-            iteration=i, sparsity_scope=sp.scope_total, sparsity_all=sp.total,
-            per_layer_sparsity=sp.per_layer,
+            pruned=replace(p, live=p.live.copy(),
+                           masks=[m.copy() for m in p.masks]),
+            sparsity=report_sparsity(p.masks, p.scope),
             reward_dense=dense_eval.mean_reward, delta_results=delta_results,
-            weights=p.live.copy(), masks=[m.copy() for m in p.masks],
             curve=res_i.curve))
     return PipelineResult(records, baseline_dense.mean_reward,
-                          baseline_random, res0.curve, baseline_weights,
-                          spec, p)
+                          baseline_random, res0.curve, baseline_weights)

@@ -251,7 +251,8 @@ def test_criterion_5_monotonicity(pipeline):
     frames = _fixed_frames()
     thresholds = (0.0, 1e-4, 1e-3, 1e-2)
     checkpoints = [(0, result.baseline_weights, None)]
-    checkpoints += [(r.iteration, r.weights, r.masks) for r in result.records]
+    checkpoints += [(r.pruned.iteration, r.pruned.live, r.pruned.masks)
+                    for r in result.records]
     by_threshold = {}
     for it, weights, masks in checkpoints:
         measured = [_measured_per_step(spec, weights, masks, t, frames)
@@ -312,8 +313,8 @@ def test_criterion_7a_dense_vs_random(pipeline):
 def test_criterion_7b_retention(pipeline):
     _, result, _ = pipeline
     last = result.records[-1]
-    assert last.iteration == 3
-    assert last.sparsity_scope == pytest.approx(0.488, abs=0.01)
+    assert last.pruned.iteration == 3
+    assert last.sparsity.scope_total == pytest.approx(0.488, abs=0.01)
     assert last.reward_dense >= 0.7 * result.baseline_reward_dense, (
         f"iter-3 dense {last.reward_dense} vs baseline "
         f"{result.baseline_reward_dense}")

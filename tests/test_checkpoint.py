@@ -1,11 +1,14 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from deltaq.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint, save_prunable)
-from deltaq.network import build_scaled_dqn, init_weights
+from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
+                            build_scaled_dqn, init_weights)
 from deltaq.pruning import PrunableWeights, prune_step
 
 
@@ -40,16 +43,13 @@ def test_roundtrip_prunable(setup):
     path = tmp / "b.ckpt"
     save_prunable(path, p, extra={"env": "mini-breakout"})
     ck = load_checkpoint(path)
-    p2 = ck.to_prunable()
-    assert p2.iteration == 1
-    assert p2.rate == 0.25
-    assert p2.scope == p.scope
-    assert ck.extra["env"] == "mini-breakout"
-    for m1, m2 in zip(p.masks, p2.masks):
+    assert ck.extra == {"iteration": 1, "rate": 0.25,
+                        "scope": list(p.scope), "env": "mini-breakout"}
+    for m1, m2 in zip(p.masks, ck.masks):
         assert np.array_equal(m1, m2)
-    for a, b in zip(p2.live.weights, p.live.weights):
+    for a, b in zip(ck.weights.weights, p.live.weights):
         assert np.array_equal(a, b)
-    for a, b in zip(p2.initial.weights, p.initial.weights):
+    for a, b in zip(ck.initial.weights, p.initial.weights):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
@@ -213,9 +213,43 @@ def test_bad_extra_names_the_path(setup, case):
     good = tmp / "good.ckpt"
     save_prunable(good, PrunableWeights.create(spec, w, rate=0.2),
                   extra={"env": "mini-breakout", "env_max_steps": 40})
-    load_checkpoint(good).to_prunable()
+    load_checkpoint(good)
     bad = tmp / f"{case}.ckpt"
     rewrite_header(good, bad, BAD_EXTRAS[case])
     with pytest.raises(CheckpointError, match="extra") as err:
         load_checkpoint(bad)
     assert str(bad) in str(err.value)
+
+
+def _golden_prunable():
+    """A hand-built, once-pruned network whose every value is exact in
+    float64: (2, 5, 5) -> conv 3x3x3 -> 27 -> 4 -> 2."""
+    spec = NetworkSpec(
+        layers=(LayerSpec("conv2d", in_channels=2, out_filters=3,
+                          kernel_x=3, kernel_y=3, stride=1),
+                LayerSpec("dense", in_size=27, out_size=4),
+                LayerSpec("dense", in_size=4, out_size=2,
+                          activation="identity")),
+        input_shape=(2, 5, 5), n_output=2)
+    ws, bs = [], []
+    for l in spec.layers:
+        n = math.prod(l.weight_shape())
+        ws.append(((np.arange(n) * 7 % 11 - 5) / 4).reshape(l.weight_shape()))
+        bs.append(np.arange(l.bias_shape()[0]) / 2)
+    p = PrunableWeights.create(spec, WeightSet(ws, bs), rate=0.5, scope=(0, 1))
+    return prune_step(p)
+
+
+GOLDEN_PRUNABLE_SHA256 = \
+    "e171224f159691e2fa6cf5dfd3a331e985be09fe72633bb0976fc289cbbbb987"
+
+
+def test_save_prunable_bytes_pinned(tmp_path):
+    """Header and payload layout: any change to the format, its field order
+    or the pruning that feeds it moves this hash."""
+    p = _golden_prunable()
+    assert p.iteration == 1 and (~p.masks[0]).sum() > 0
+    path = tmp_path / "golden.ckpt"
+    save_prunable(path, p, extra={"env": "mini-breakout", "seed": 3})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN_PRUNABLE_SHA256

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from deltaq.checkpoint import save_checkpoint
 from deltaq.cli import main
+from deltaq.network import build_scaled_dqn, init_weights
 
 SMOKE_CONFIG = """
 [env]
@@ -87,9 +90,10 @@ class TestPipeline:
         out2 = root / "run2"
         assert main(["pipeline", "--config", str(cfg), "--seed", "5",
                      "--out", str(out2)]) == 0
-        assert (out / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
-        assert (out / "records.json").read_bytes() == \
-            (out2 / "records.json").read_bytes()
+        for rel in ("curve.csv", "records.json", "tables.txt",
+                    "records_all.json", "checkpoints/iter_001.ckpt",
+                    "checkpoints/iter_002.ckpt"):
+            assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
     def test_invalid_config_rejected_before_work(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -167,6 +171,43 @@ class TestDeltaEval:
         measured = [r["measured_total"] for r in by_t]
         assert measured == sorted(measured, reverse=True)
 
+    def test_agrees_with_pipeline_records(self, smoke_run, tmp_path):
+        _, _, out = smoke_run
+        dest = tmp_path / "agree"
+        assert main(["delta-eval", "--checkpoint",
+                     str(out / "checkpoints" / "iter_002.ckpt"), "--threshold",
+                     "0.001", "--episodes", "1", "--out", str(dest)]) == 0
+        got = json.loads((dest / "records.json").read_text())["records"][0]
+        rows = [r for r in json.loads((out / "records_all.json").read_text())
+                ["records"] if r["iteration"] == 2]
+        assert rows
+        keys = ("iteration", "sparsity_total", "sparsity_all",
+                "per_layer_weight_sparsity")
+        for row in rows:
+            assert {k: got[k] for k in keys} == {k: row[k] for k in keys}
+
+    def test_masks_without_initial_snapshot(self, tmp_path):
+        """Sparsity comes from the masks alone, over the conv scope when the
+        header names none."""
+        spec = build_scaled_dqn((4, 10, 10), 3, conv_filters=4, dense_hidden=16)
+        w = init_weights(spec, np.random.default_rng(0))
+        masks = [np.ones(l.weight_shape(), dtype=bool) for l in spec.layers]
+        masks[0].ravel()[::2] = False            # half of Conv2d-1
+        w.weights[0][~masks[0]] = 0.0
+        ckpt = tmp_path / "masks-only.ckpt"
+        save_checkpoint(ckpt, spec, w, masks=masks,
+                        extra={"env": "mini-breakout", "env_max_steps": 40})
+        dest = tmp_path / "mo"
+        assert main(["delta-eval", "--checkpoint", str(ckpt), "--threshold",
+                     "0", "--episodes", "1", "--out", str(dest)]) == 0
+        rec = json.loads((dest / "records.json").read_text())["records"][0]
+        assert rec["iteration"] == 0
+        assert rec["sparsity_total"] == 0.5
+        assert rec["sparsity_all"] == \
+            (masks[0].size / 2) / sum(m.size for m in masks)
+        assert rec["per_layer_weight_sparsity"] == \
+            {"Conv2d-1": 0.5, "Dense-1": 0.0, "Dense-2": 0.0}
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert main(["delta-eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -230,6 +271,24 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {src}:")
         assert not dest.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("threshold", "abc"), ("measured_total", None),
+    ])
+    def test_wrong_field_type_exits_2_and_writes_nothing(
+            self, smoke_run, tmp_path, capsys, key, value):
+        _, _, out = smoke_run
+        payload = json.loads((out / "records.json").read_text())
+        payload["records"][0][key] = value
+        src = tmp_path / "typed.json"
+        src.write_text(json.dumps(payload))
+        dest = tmp_path / "t"
+        dest.mkdir()
+        assert main(["report", "--records", str(src), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:") and key in err
+        assert not (dest / "records.json").exists()
+        assert not (dest / "curve.csv").exists()
 
 
 class TestBadInputsExit2:

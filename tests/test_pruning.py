@@ -99,11 +99,13 @@ class TestPruneStep:
     def test_empty_scope_and_exhausted_layer(self):
         rng = np.random.default_rng(2)
         p = make_prunable(rng)
+        p.scope = ()
         with pytest.raises(ValueError):
-            prune_step(p, scope=())
+            prune_step(p)
+        p.scope = (0,)
         p.masks[0][:] = False
         with pytest.raises(ValueError):
-            prune_step(p, scope=(0,))
+            prune_step(p)
 
     def test_scope_limits_pruning(self):
         rng = np.random.default_rng(6)
@@ -159,7 +161,7 @@ class TestSparsityReport:
     def test_fresh_all_zero(self):
         rng = np.random.default_rng(0)
         p = make_prunable(rng)
-        rep = report_sparsity(p)
+        rep = report_sparsity(p.masks, p.scope)
         assert all(s == 0.0 for s in rep.per_layer)
         assert rep.total == 0.0
 
@@ -173,7 +175,7 @@ class TestSparsityReport:
             n = p.masks[k].size
             dead = rng.choice(n, size=round(frac * n), replace=False)
             p.masks[k].ravel()[dead] = False
-        rep = report_sparsity(p)
+        rep = report_sparsity(p.masks, p.scope)
         for k, frac in enumerate(targets):
             assert rep.per_layer[k] == pytest.approx(frac, abs=1e-4)
         assert rep.per_layer[3] == rep.per_layer[4] == 0.0
@@ -185,7 +187,7 @@ class TestSparsityReport:
         p = make_prunable(rng)
         for m in p.masks:
             m[:] = rng.random(m.shape) < 0.6
-        rep = report_sparsity(p)
+        rep = report_sparsity(p.masks, p.scope)
         for k, m in enumerate(p.masks):
             expected = sum(1 for v in m.ravel() if not v) / m.size
             assert rep.per_layer[k] == expected

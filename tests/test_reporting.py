@@ -4,6 +4,7 @@ import pytest
 
 from deltaq.delta import OpCounter
 from deltaq.network import build_reference_dqn, build_scaled_dqn
+from deltaq.pruning import SparsityReport
 from deltaq.reporting import (RunRecord, build_table, curve_csv,
                               record_from_counters,
                               records_from_json, records_to_json,
@@ -119,7 +120,8 @@ class TestRecordFromCounters:
         ctr.timesteps = 10
         ctr.significant_multiplications[1:] = [120, 340, 60]
         ctr.events_sent[:] = [40, 30, 20, 10]
-        rec = record_from_counters(spec, 1, 0.001, (0.5, 0.0, 0.0), 0.5, 0.1,
+        rec = record_from_counters(spec, 1, 0.001,
+                                   SparsityReport((0.5, 0.0, 0.0), 0.1, 0.5),
                                    ctr, 5.0, 4.5)
         assert rec.measured_total == pytest.approx(
             sum(rec.per_layer_measured.values()))
@@ -138,7 +140,8 @@ class TestRecordFromCounters:
         for i, row in enumerate(rows):
             ctr.significant_multiplications[i + 1] = row.multiplications * 5
         rec = record_from_counters(spec, 0, 0.0,
-                                   (0.0, 0.0, 0.0), 0.0, 0.0, ctr, 1.0, 1.0)
+                                   SparsityReport((0.0, 0.0, 0.0), 0.0, 0.0),
+                                   ctr, 1.0, 1.0)
         assert rec.significant_fraction == 1.0
 
 

@@ -430,30 +430,27 @@ class TestEvaluate:
     @pytest.mark.parametrize("masked", [False, True])
     def test_dense_counter_rows(self, masked):
         env, spec, w = self.setup_pair(seed=12)
-        masks = None
         if masked:
             rng = np.random.default_rng(4)
-            masks = [rng.random(l.weight_shape()) < 0.5 for l in spec.layers]
-        res = evaluate(env.fork(3), spec, w, episodes=2, masks=masks)
+            for wk in w.weights:
+                wk[rng.random(wk.shape) < 0.5] = 0.0
+        res = evaluate(env.fork(3), spec, w, episodes=2)
         # independent rollout: the same greedy policy, steps counted by hand
-        w_eff = w.copy()
-        for k, m in enumerate(masks or []):
-            w_eff.weights[k][~m] = 0.0
         rollout = env.fork(3)
         t, rewards = 0, []
         for _ in range(2):
             state, done, total = rollout.reset(), False, 0.0
             while not done:
                 state, r, done = rollout.step(int(np.argmax(
-                    forward(spec, w_eff, state))))
+                    forward(spec, w, state))))
                 total += r
                 t += 1
             rewards.append(total)
         assert res.rewards == rewards
         c = res.counter
         assert c.timesteps == t
-        # (4, 10, 10) -> conv 4x3x3 -> (4, 8, 8) -> 16 -> 3; masks never
-        # change the dense count
+        # (4, 10, 10) -> conv 4x3x3 -> (4, 8, 8) -> 16 -> 3; pruned (zero)
+        # weights never change the dense count
         assert c.layer_names == ("Input", "Conv2d-1", "Dense-1", "Dense-2")
         assert c.significant_multiplications.tolist() == \
             [0, 64 * 4 * 9 * 4 * t, 256 * 16 * t, 16 * 3 * t]
