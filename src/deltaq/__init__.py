@@ -3,7 +3,7 @@ for small Q-networks, with exact significant-multiplication accounting."""
 
 __version__ = "0.1.0"
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, save_prunable
+from .checkpoint import load_checkpoint, save_prunable
 from .config import ConfigError, RunConfig, TrainingConfig, load_config
 from .delta import DeltaNetwork, OpCounter, measure_delta_sparsity
 from .envs import (Environment, MiniBreakout, MiniInvaders, follow_ball_policy,
@@ -17,6 +17,6 @@ from .pruning import (PrunableWeights, SparsityReport, prune_step,
                       report_sparsity, rewind, schedule_fraction)
 from .reporting import (RunRecord, build_table, curve_csv,
                         record_from_counters, write_report_files)
-from .training import (Batch, EvalResult, PipelineResult, ReplayBuffer,
-                       TrainingDiverged, double_q_target, evaluate,
-                       lottery_pipeline, train)
+from .training import (Batch, EvalResult, PipelineRecord, PipelineResult,
+                       ReplayBuffer, TrainingDiverged, double_q_target,
+                       evaluate, evaluate_pruned, lottery_pipeline, train)

@@ -1,12 +1,15 @@
-"""Binary checkpoint format for network specs, weights, masks, and the
-archived initial weights.
+"""Binary checkpoint format for a pruned network: one PrunableWeights
+(masked live weights, masks, the archived initial weights and the schedule
+position) plus the run metadata it was trained under.
 
 Layout: 8-byte magic, uint32 format version, uint32 header length, then a
-JSON header (layer kinds/shapes in order, flags, free-form extra metadata),
-then raw array payloads in a fixed order: per layer weights and bias as
-row-major little-endian float64; if masks are present, per layer mask as
-uint8 {0,1}; if the initial snapshot is present, per layer initial weights
-and bias. Files round-trip bit-exactly.
+JSON header (layer kinds/shapes in order, the flags has_masks and
+has_initial, both always true, and an extra object holding iteration, rate
+and scope plus the run metadata), then raw array payloads in a fixed
+order: per layer live weights and bias as row-major little-endian float64,
+per layer mask as uint8 {0,1}, per layer initial weights and bias.
+`save_prunable` is the only writer and `load_checkpoint` the only reader;
+files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -45,19 +48,23 @@ def _layer_from_dict(d: dict[str, Any]) -> LayerSpec:
     return LayerSpec(**d)
 
 
-def save_checkpoint(path: str | Path, spec: NetworkSpec, weights: WeightSet,
-                    masks: list[np.ndarray] | None = None,
-                    initial: WeightSet | None = None,
-                    extra: dict[str, Any] | None = None) -> None:
-    weights.validate(spec)
+def save_prunable(path: str | Path, p: PrunableWeights,
+                  extra: dict[str, Any] | None = None) -> None:
+    """Checkpoint a PrunableWeights: its masked live weights, masks and
+    initial snapshot, with its schedule position (iteration, rate, scope)
+    and the run metadata in `extra` recorded in the header."""
+    p.apply()
+    p.live.validate(p.spec)
+    meta = {"iteration": p.iteration, "rate": p.rate, "scope": list(p.scope)}
+    meta.update(extra or {})
     header = {
         "version": VERSION,
-        "input_shape": list(spec.input_shape),
-        "n_output": spec.n_output,
-        "layers": [_layer_to_dict(l) for l in spec.layers],
-        "has_masks": masks is not None,
-        "has_initial": initial is not None,
-        "extra": extra or {},
+        "input_shape": list(p.spec.input_shape),
+        "n_output": p.spec.n_output,
+        "layers": [_layer_to_dict(l) for l in p.spec.layers],
+        "has_masks": True,
+        "has_initial": True,
+        "extra": meta,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
@@ -65,38 +72,29 @@ def save_checkpoint(path: str | Path, spec: NetworkSpec, weights: WeightSet,
         f.write(np.uint32(VERSION).tobytes())
         f.write(np.uint32(len(blob)).tobytes())
         f.write(blob)
-        for w, b in zip(weights.weights, weights.biases):
+        for w, b in zip(p.live.weights, p.live.biases):
             f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        if masks is not None:
-            for m in masks:
-                f.write(np.ascontiguousarray(m, dtype=np.uint8).tobytes())
-        if initial is not None:
-            for w, b in zip(initial.weights, initial.biases):
-                f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-                f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        for m in p.masks:
+            f.write(np.ascontiguousarray(m, dtype=np.uint8).tobytes())
+        for w, b in zip(p.initial.weights, p.initial.biases):
+            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
-class Checkpoint:
-    """Decoded checkpoint contents."""
-
-    def __init__(self, spec: NetworkSpec, weights: WeightSet,
-                 masks: list[np.ndarray] | None, initial: WeightSet | None,
-                 extra: dict[str, Any]):
-        self.spec = spec
-        self.weights = weights
-        self.masks = masks
-        self.initial = initial
-        self.extra = extra
+_SCHEDULE_KEYS = ("iteration", "rate", "scope")
 
 
 def _check_extra(extra: Any, n_layers: int) -> None:
-    """The schedule and environment keys (rate, iteration, scope, env,
-    env_max_steps) hold usable values when present; other keys are
-    free-form."""
+    """The schedule keys (iteration, rate, scope) are present and usable,
+    and so are the run keys env and env_max_steps when present; other keys
+    are free-form."""
     if not isinstance(extra, dict):
         raise TypeError(f"extra is {type(extra).__name__}, not an object")
-    rate = extra.get("rate", 0.2)
+    missing = [k for k in _SCHEDULE_KEYS if k not in extra]
+    if missing:
+        raise ValueError(f"extra lacks {', '.join(missing)}")
+    rate = extra["rate"]
     if type(rate) not in (int, float) or not 0.0 < rate < 1.0:
         raise ValueError(
             f"extra rate must be a number in (0, 1), got {rate!r}")
@@ -105,7 +103,7 @@ def _check_extra(extra: Any, n_layers: int) -> None:
         if type(v) is not int or v < lo:
             raise ValueError(
                 f"extra {key} must be an integer >= {lo}, got {v!r}")
-    scope = extra.get("scope", [])
+    scope = extra["scope"]
     if not (isinstance(scope, list)
             and all(type(k) is int and 0 <= k < n_layers for k in scope)):
         raise ValueError(
@@ -114,11 +112,14 @@ def _check_extra(extra: Any, n_layers: int) -> None:
         raise ValueError(f"extra env must be a string, got {extra['env']!r}")
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Decode a checkpoint; raises CheckpointError, naming the path, on a
+def load_checkpoint(path: str | Path) -> tuple[PrunableWeights, dict[str, Any]]:
+    """Decode a checkpoint written by `save_prunable` into its
+    PrunableWeights and the rest of the header's extra metadata (env,
+    env_max_steps, seed). Raises CheckpointError, naming the path, on a
     bad magic or version, a truncated or oversized file, a header with a
-    missing or malformed field, an inconsistent architecture or an unusable
-    extra value (rate, iteration, scope, env, env_max_steps), non-finite
+    missing or malformed field, no masks or no initial snapshot, an
+    inconsistent architecture, a missing or unusable schedule value
+    (iteration, rate, scope) or unusable env or env_max_steps, non-finite
     weights or biases, or nonzero live weights under a False mask."""
     data = Path(path).read_bytes()
     if len(data) < 16:
@@ -141,8 +142,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             input_shape=tuple(header["input_shape"]),
             n_output=int(header["n_output"]),
         )
-        has_masks, has_initial = header["has_masks"], header["has_initial"]
-        extra = header.get("extra", {})
+        if not (header["has_masks"] is True and header["has_initial"] is True):
+            raise ValueError("has_masks and has_initial must both be true")
+        extra = header["extra"]
         _check_extra(extra, len(spec.layers))
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CheckpointError(f"{path}: bad header: {e!r}") from None
@@ -160,41 +162,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         off = end
         return arr.reshape(shape)
 
-    def read_f8(shape: tuple[int, ...]) -> np.ndarray:
-        arr = read(shape, "<f8").astype(np.float64)
-        if not np.isfinite(arr).all():
+    def read_weights() -> WeightSet:
+        pairs = [(read(l.weight_shape(), "<f8").astype(np.float64),
+                  read(l.bias_shape(), "<f8").astype(np.float64))
+                 for l in spec.layers]
+        if not all(np.isfinite(a).all() for pair in pairs for a in pair):
             raise CheckpointError(f"{path}: non-finite weights or biases")
-        return arr
+        return WeightSet([w for w, _ in pairs], [b for _, b in pairs])
 
-    ws, bs = [], []
-    for l in spec.layers:
-        ws.append(read_f8(l.weight_shape()))
-        bs.append(read_f8(l.bias_shape()))
-    weights = WeightSet(ws, bs)
-    masks = None
-    if has_masks:
-        masks = [read(l.weight_shape(), np.uint8).astype(bool)
-                 for l in spec.layers]
-        for i, (w, m) in enumerate(zip(ws, masks)):
-            if np.any(w[~m] != 0.0):
-                raise CheckpointError(
-                    f"{path}: layer {i} has nonzero weights under a False mask")
-    initial = None
-    if has_initial:
-        pairs = [(read_f8(l.weight_shape()), read_f8(l.bias_shape()))
-                 for l in spec.layers]
-        initial = WeightSet([p[0] for p in pairs], [p[1] for p in pairs])
+    live = read_weights()
+    masks = [read(l.weight_shape(), np.uint8).astype(bool) for l in spec.layers]
+    for i, (w, m) in enumerate(zip(live.weights, masks)):
+        if np.any(w[~m] != 0.0):
+            raise CheckpointError(
+                f"{path}: layer {i} has nonzero weights under a False mask")
+    initial = read_weights()
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")
-    return Checkpoint(spec, weights, masks, initial, extra)
-
-
-def save_prunable(path: str | Path, p: PrunableWeights,
-                  extra: dict[str, Any] | None = None) -> None:
-    """Checkpoint a PrunableWeights with masks, initial snapshot, and its
-    schedule position recorded in the header."""
-    meta = {"iteration": p.iteration, "rate": p.rate, "scope": list(p.scope)}
-    meta.update(extra or {})
-    p.apply()
-    save_checkpoint(path, p.spec, p.live, masks=p.masks, initial=p.initial,
-                    extra=meta)
+    p = PrunableWeights(spec=spec, live=live, masks=masks, initial=initial,
+                        rate=extra["rate"], iteration=extra["iteration"],
+                        scope=tuple(extra["scope"]))
+    return p, {k: v for k, v in extra.items() if k not in _SCHEDULE_KEYS}

@@ -20,17 +20,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_prunable
 from .config import ConfigError, load_config, parse_thresholds, write_config
 from .envs import make_env
 from .network import build_reference_dqn, static_network_multiplications
-from .pruning import default_scope, report_sparsity
 from .reporting import (RunRecord, record_from_counters, records_from_json,
                         records_to_json, write_report_files)
-from .training import evaluate, lottery_pipeline
+from .training import PipelineRecord, evaluate_pruned, lottery_pipeline
 
 
 def _static_table(report) -> str:
@@ -76,6 +73,14 @@ def _write_manifest(out_dir: Path, seed: int, config_src, artifacts: list[Path],
     return path
 
 
+def _run_records(rec: PipelineRecord) -> list[RunRecord]:
+    """One RunRecord per evaluated threshold, in evaluation order."""
+    return [record_from_counters(rec.pruned.spec, rec.pruned.iteration, t,
+                                 rec.sparsity, ev.counter, rec.reward_dense,
+                                 ev.mean_reward)
+            for t, ev in rec.delta_results.items()]
+
+
 def cmd_pipeline(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -91,24 +96,19 @@ def cmd_pipeline(args) -> int:
     result = lottery_pipeline(
         env, spec, cfg.prune_rate, cfg.prune_iterations, cfg.training,
         seed=args.seed, scope=cfg.scope_indices(spec),
-        thresholds=cfg.thresholds, input_threshold=cfg.input_threshold,
-        eval_episodes=cfg.eval_episodes)
+        thresholds=cfg.thresholds, eval_episodes=cfg.eval_episodes)
 
     artifacts = [out_dir / "config.ini"]
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     records: list[RunRecord] = []
     for rec in result.records:
-        iteration = rec.pruned.iteration
-        ckpt = ckpt_dir / f"iter_{iteration:03d}.ckpt"
+        ckpt = ckpt_dir / f"iter_{rec.pruned.iteration:03d}.ckpt"
         save_prunable(ckpt, rec.pruned, extra={
             "env": cfg.env_name, "env_max_steps": cfg.env_max_steps,
             "seed": args.seed})
         artifacts.append(ckpt)
-        for t, ev in rec.delta_results.items():
-            records.append(record_from_counters(
-                spec, iteration, t, rec.sparsity, ev.counter,
-                rec.reward_dense, ev.mean_reward))
+        records += _run_records(rec)
 
     meta = {
         "env": cfg.env_name,
@@ -144,44 +144,29 @@ def cmd_delta_eval(args) -> int:
         return 2
 
     try:
-        ckpt = load_checkpoint(ckpt_path)
+        p, meta = load_checkpoint(ckpt_path)
     except CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    env_name = args.env or ckpt.extra.get("env")
+    env_name = args.env or meta.get("env")
     if env_name is None:
         print("error: checkpoint has no environment; pass --env",
               file=sys.stderr)
         return 2
     try:
         env = make_env(env_name, seed=args.seed,
-                       max_steps=ckpt.extra.get("env_max_steps", 400))
+                       max_steps=meta.get("env_max_steps", 400))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    spec = ckpt.spec
+    spec = p.spec
     if (spec.input_shape, spec.n_output) != (env.state_shape, env.n_actions):
         print(f"error: {ckpt_path}: network {spec.input_shape} -> {spec.n_output} does "
               f"not fit {env_name} {env.state_shape} -> {env.n_actions} actions",
               file=sys.stderr)
         return 2
-    masks = ckpt.masks or [np.ones(l.weight_shape(), dtype=bool)
-                           for l in spec.layers]  # no masks: nothing pruned
-    sparsity = report_sparsity(
-        masks, tuple(ckpt.extra.get("scope", default_scope(spec))))
-    iteration = ckpt.extra.get("iteration", 0)
-
-    # the stored weights are masked already: load_checkpoint rejects a
-    # nonzero weight under a False mask
-    dense = evaluate(env.fork(args.seed), spec, ckpt.weights, args.episodes)
-    records = []
-    for t in thresholds:
-        ev = evaluate(env.fork(args.seed), spec, ckpt.weights, args.episodes,
-                      mode="delta", thresholds=t)
-        records.append(record_from_counters(
-            spec, iteration, t, sparsity, ev.counter, dense.mean_reward,
-            ev.mean_reward))
-
+    records = _run_records(evaluate_pruned(env, p, args.seed, thresholds,
+                                           args.episodes))
     out_dir = Path(args.out)
     artifacts = write_report_files(out_dir, records,
                                    {"checkpoint": str(ckpt_path),
@@ -199,13 +184,13 @@ def cmd_report(args) -> int:
         return 2
     try:
         records, meta = records_from_json(src.read_text())
+        if not records:
+            raise ValueError("no records in file")
+        # renders every file before it writes any
+        paths = write_report_files(args.out, records, meta)
     except (ValueError, TypeError, KeyError) as e:
-        print(f"error: {src}: not a records file: {e}", file=sys.stderr)
+        print(f"error: {src}: not a records file: {e!r}", file=sys.stderr)
         return 2
-    if not records:
-        print("error: no records in file", file=sys.stderr)
-        return 2
-    paths = write_report_files(args.out, records, meta)
     print("\n".join(str(p) for p in paths))
     return 0
 

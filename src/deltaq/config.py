@@ -69,7 +69,6 @@ class RunConfig:
     prune_iterations: int = 3
     prune_scope: str = "conv"      # conv | all | comma-separated layer indices
     thresholds: tuple[float, ...] = (0.0, 0.001)
-    input_threshold: float | None = None   # None: same as the layer threshold
     curve_threshold: float = 0.001
     eval_episodes: int = 30
 
@@ -117,11 +116,10 @@ def _parse_float(text: str) -> float:
     return v
 
 
-# field annotation -> parser of the key's text; a blank optional is None
+# field annotation -> parser of the key's text
 _PARSERS: dict[str, Callable[[str], object]] = {
     "int": _parse_int,
     "float": _parse_float,
-    "float | None": lambda s: _parse_float(s) if s.strip() else None,
     "str": str,
     "tuple[float, ...]": parse_thresholds,
 }
@@ -179,7 +177,6 @@ SCHEMA: tuple[Key, ...] = (
     Key("pruning", "iterations", AT_LEAST_1, "prune_iterations"),
     Key("pruning", "scope", SCOPE, "prune_scope"),
     Key("delta", "thresholds", None),
-    Key("delta", "input_threshold", AT_LEAST_0),
     Key("delta", "curve_threshold", None),
     Key("eval", "episodes", AT_LEAST_1, "eval_episodes"),
 )
@@ -192,7 +189,7 @@ def _owner(cfg: RunConfig, key: Key) -> RunConfig | TrainingConfig:
 def _format(value) -> str:
     if isinstance(value, tuple):
         return ",".join(map(str, value))
-    return "" if value is None else str(value)
+    return str(value)
 
 
 def _defaults() -> dict[str, dict[str, str]]:
@@ -271,8 +268,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         except ValueError as e:
             errors.append(f"[{key.section}] {key.name}: {e}")
             continue
-        if key.rule is not None and value is not None and \
-                not key.rule[0](value):
+        if key.rule is not None and not key.rule[0](value):
             errors.append(f"[{key.section}] {key.name}: must be "
                           f"{key.rule[1]}, got {text}")
         setattr(_owner(cfg, key), key.attr, value)

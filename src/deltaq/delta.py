@@ -368,9 +368,8 @@ def measure_delta_sparsity(counter: OpCounter, spec: NetworkSpec) -> dict[str, f
     (the input row counts pixels)."""
     if counter.timesteps < 1:
         raise ValueError("no timesteps recorded")
-    sizes = [int(np.prod(spec.input_shape))]
-    sizes += [int(np.prod(s)) for s in spec.output_shapes()]
     out = {}
-    for name, n, sent in zip(counter.layer_names, sizes, counter.events_sent):
+    for name, n, sent in zip(counter.layer_names, spec.neuron_counts(),
+                             counter.events_sent):
         out[name] = 1.0 - float(sent) / (n * counter.timesteps)
     return out

@@ -135,6 +135,18 @@ class NetworkSpec:
                 names.append(f"Dense-{n_dense}")
         return names
 
+    def neuron_counts(self) -> list[int]:
+        """Neurons per counter row: the input's pixels, then each layer's
+        outputs."""
+        return [int(np.prod(s)) for s in [self.input_shape, *self.output_shapes()]]
+
+    def layer_multiplications(self) -> list[int]:
+        """Multiplications one dense pass performs in each weighted layer
+        (no Flatten row)."""
+        return [static_conv_multiplications(l, s[2], s[1]) if l.kind == "conv2d"
+                else static_dense_multiplications(l)
+                for l, s in zip(self.layers, self.output_shapes())]
+
     def flatten_index(self) -> int | None:
         """Index of the first dense layer after a conv layer, else None."""
         for i, layer in enumerate(self.layers):
@@ -314,18 +326,12 @@ def static_network_multiplications(spec: NetworkSpec) -> StaticCountReport:
     conv layer and the first dense layer when both are present.
     """
     rows: list[StaticCountRow] = []
-    names = spec.layer_names()
-    shapes = spec.output_shapes() if spec.layers else []
-    flatten_at = spec.flatten_index() if spec.layers else None
-    for i, layer in enumerate(spec.layers):
-        if flatten_at is not None and i == flatten_at:
+    flatten_at = spec.flatten_index()
+    for i, (layer, name, mults) in enumerate(zip(
+            spec.layers, spec.layer_names(), spec.layer_multiplications())):
+        if i == flatten_at:
             rows.append(StaticCountRow("Flatten", 0, 0))
-        if layer.kind == "conv2d":
-            _, out_h, out_w = shapes[i]
-            mults = static_conv_multiplications(layer, out_w, out_h)
-        else:
-            mults = static_dense_multiplications(layer)
-        rows.append(StaticCountRow(names[i], mults, layer.param_count()))
+        rows.append(StaticCountRow(name, mults, layer.param_count()))
     total_m = sum(r.multiplications for r in rows)
     total_p = sum(r.params for r in rows)
     return StaticCountReport(tuple(rows), total_m, total_p)

@@ -11,10 +11,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .delta import OpCounter, measure_delta_sparsity
-from .network import NetworkSpec, static_network_multiplications
+from .network import NetworkSpec
 from .pruning import SparsityReport
 
 
@@ -43,8 +41,9 @@ class RunRecord:
 
     @property
     def reduction_factor(self) -> float:
-        if self.measured_total <= 0:
-            raise ValueError("measured multiplications must be > 0")
+        """Static over measured multiplications; inf when nothing fired."""
+        if self.measured_total == 0:
+            return math.inf
         return self.static_total / self.measured_total
 
     @property
@@ -52,8 +51,9 @@ class RunRecord:
         return round(self.reduction_factor, 1)
 
     @property
-    def reduction_factor_floor(self) -> int:
-        return math.floor(self.reduction_factor)
+    def reduction_factor_floor(self) -> int | float:
+        f = self.reduction_factor
+        return math.floor(f) if math.isfinite(f) else f
 
 
 def record_from_counters(spec: NetworkSpec, iteration: int, threshold: float,
@@ -62,17 +62,13 @@ def record_from_counters(spec: NetworkSpec, iteration: int, threshold: float,
     """Assemble a RunRecord from a delta-mode counter and the network's
     weight sparsity."""
     names = spec.layer_names()
-    static = static_network_multiplications(spec)
-    static_by_layer = {r.name: r.multiplications for r in static.rows
-                       if r.name != "Flatten"}
+    static_by_layer = dict(zip(names, spec.layer_multiplications()))
     t = counter.timesteps
     measured = {name: float(counter.significant_multiplications[i + 1]) / t
                 for i, name in enumerate(names)}
     delta_sp = measure_delta_sparsity(counter, spec)
-    sizes = [int(np.prod(spec.input_shape))] + \
-            [int(np.prod(s)) for s in spec.output_shapes()]
     sent = float(counter.events_sent.sum())
-    delta_total = 1.0 - sent / (sum(sizes) * t)
+    delta_total = 1.0 - sent / (sum(spec.neuron_counts()) * t)
     return RunRecord(
         iteration=iteration, threshold=threshold,
         sparsity_total=sparsity.scope_total, sparsity_all=sparsity.total,
@@ -82,7 +78,7 @@ def record_from_counters(spec: NetworkSpec, iteration: int, threshold: float,
         per_layer_measured=measured,
         delta_sparsity_total=delta_total,
         reward_dense=reward_dense, reward_delta=reward_delta,
-        static_total=static.total_multiplications,
+        static_total=sum(static_by_layer.values()),
         measured_total=sum(measured.values()), timesteps=t)
 
 
@@ -171,7 +167,9 @@ _FIELD_CHECKS = {
 
 def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
     """Parse a records file; raises ValueError, TypeError or KeyError on
-    bad JSON, missing or unknown fields, or a field of the wrong type."""
+    bad JSON, missing or unknown fields, a field of the wrong type, or a
+    value no run produces (a negative measured count, a static total or
+    timestep count below 1)."""
     payload = json.loads(text)
     records = [RunRecord(**d) for d in payload["records"]]
     for i, rec in enumerate(records):
@@ -180,22 +178,26 @@ def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
             if not _FIELD_CHECKS[f.type](v):
                 raise TypeError(
                     f"record {i}: {f.name} must be {f.type}, got {v!r}")
+        if any(v < 0 for v in (rec.measured_total,
+                               *rec.per_layer_measured.values())):
+            raise ValueError(f"record {i}: measured counts must be >= 0")
+        for name in ("static_total", "timesteps"):
+            if getattr(rec, name) < 1:
+                raise ValueError(f"record {i}: {name} must be >= 1, "
+                                 f"got {getattr(rec, name)}")
     return records, payload.get("meta", {})
 
 
 def write_report_files(out_dir: str | Path, records: list[RunRecord],
                        meta: dict | None = None) -> list[Path]:
-    """Emit records.json, curve.csv, and tables.txt; returns written paths."""
+    """Emit records.json, curve.csv, and tables.txt; returns written paths.
+    All three are rendered before any is written, so a record that cannot
+    be rendered leaves `out_dir` untouched."""
+    texts = {"records.json": records_to_json(records, meta),
+             "curve.csv": curve_csv(records),
+             "tables.txt": build_table(records)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    p = out / "records.json"
-    p.write_text(records_to_json(records, meta))
-    paths.append(p)
-    p = out / "curve.csv"
-    p.write_text(curve_csv(records))
-    paths.append(p)
-    p = out / "tables.txt"
-    p.write_text(build_table(records))
-    paths.append(p)
-    return paths
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [out / name for name in texts]

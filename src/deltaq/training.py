@@ -2,6 +2,11 @@
 backprop with an adaptive-moment optimizer, and the iterative
 prune/rewind/retrain pipeline.
 
+A pruned network is evaluated one way, by `evaluate_pruned`: dense first,
+then in delta mode at each threshold, each rollout on a fresh fork of the
+same evaluation seed. `lottery_pipeline` applies it to every retrained
+network and `deltaq delta-eval` to a checkpoint.
+
 The public network forward pass is single-state; training uses its own
 batched forward/backward, which reads conv columns through a sliding-window
 view and adds column gradients back through the same windows. The
@@ -29,8 +34,7 @@ import numpy as np
 from .config import TrainingConfig
 from .delta import DeltaNetwork, OpCounter
 from .envs import Environment, random_policy_reward
-from .network import (NetworkSpec, WeightSet, forward, init_weights,
-                      static_network_multiplications)
+from .network import NetworkSpec, WeightSet, forward, init_weights
 from .pruning import (PrunableWeights, SparsityReport, prune_step,
                       report_sparsity, rewind)
 
@@ -420,8 +424,7 @@ class EvalResult:
 
 def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
              episodes: int, mode: str = "dense",
-             thresholds: float | list[float] = 0.001,
-             input_threshold: float | None = None) -> EvalResult:
+             thresholds: float | list[float] = 0.001) -> EvalResult:
     """Greedy rollouts; returns mean reward and merged operation counters.
 
     `weights` are used as given: a pruned network passes its masked live
@@ -436,7 +439,7 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
         def act(state: np.ndarray) -> int:
             return greedy_action(spec, weights, state)
     elif mode == "delta":
-        dn = DeltaNetwork(spec, weights, thresholds, input_threshold)
+        dn = DeltaNetwork(spec, weights, thresholds)
 
         def act(state: np.ndarray) -> int:
             return int(np.argmax(dn.step(state)))
@@ -460,12 +463,10 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
         counter = dn.counter
     else:
         counter = OpCounter(spec.layer_names())
-        rows = static_network_multiplications(spec).rows
-        sizes = [int(np.prod(s)) for s in [spec.input_shape, *spec.output_shapes()]]
         counter.timesteps = steps
         counter.significant_multiplications[1:] = \
-            [r.multiplications * steps for r in rows if r.name != "Flatten"]
-        counter.events_sent[:] = [n * steps for n in sizes]
+            [m * steps for m in spec.layer_multiplications()]
+        counter.events_sent[:] = [n * steps for n in spec.neuron_counts()]
     return EvalResult(float(np.mean(rewards)), rewards, counter)
 
 
@@ -475,16 +476,29 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
 
 @dataclass
 class PipelineRecord:
-    """One pruning iteration: the retrained network's pruned state (live
-    weights, masks, iteration, rate and scope; `initial` is shared with the
-    pipeline's own state, which never writes it), its sparsity, and its
-    rewards and delta counters."""
+    """A pruned network evaluated dense and at each threshold: its pruned
+    state (live weights, masks, iteration, rate and scope), its sparsity,
+    its dense reward and its delta evaluation per threshold."""
 
     pruned: PrunableWeights
     sparsity: SparsityReport
     reward_dense: float
     delta_results: dict[float, EvalResult]
-    curve: list[tuple[int, float]]
+
+
+def evaluate_pruned(env: Environment, p: PrunableWeights, seed: int,
+                    thresholds: tuple[float, ...],
+                    episodes: int) -> PipelineRecord:
+    """Evaluate the masked live weights of `p` dense, then in delta mode at
+    each threshold in order, each on a fresh `env.fork(seed)` so rewards
+    compare across modes. The record holds `p` itself, not a copy."""
+    dense = evaluate(env.fork(seed), p.spec, p.live, episodes)
+    delta_results = {t: evaluate(env.fork(seed), p.spec, p.live, episodes,
+                                 mode="delta", thresholds=t)
+                     for t in thresholds}
+    return PipelineRecord(pruned=p, sparsity=report_sparsity(p.masks, p.scope),
+                          reward_dense=dense.mean_reward,
+                          delta_results=delta_results)
 
 
 @dataclass
@@ -500,10 +514,11 @@ def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
                      n_iterations: int, cfg: TrainingConfig, *, seed: int,
                      scope: tuple[int, ...] | None = None,
                      thresholds: tuple[float, ...] = (0.0, 0.001),
-                     input_threshold: float | None = None,
                      eval_episodes: int = 30) -> PipelineResult:
     """Train, then repeat prune -> rewind -> retrain `n_iterations` times,
-    evaluating each retrained network in dense and delta modes.
+    evaluating a snapshot of each retrained network with `evaluate_pruned`
+    (its `initial` is shared with the pipeline's own state, which never
+    writes it).
 
     Evaluation always uses freshly seeded environment forks with the same
     seed, so rewards are comparable across iterations and modes.
@@ -517,14 +532,11 @@ def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
     rng_init = np.random.default_rng(init_seed)
     p = PrunableWeights.create(spec, init_weights(spec, rng_init), rate, scope)
 
-    def fresh_eval_env() -> Environment:
-        return env.fork(eval_seed)
-
     # iteration 0: dense training and baselines
     rng0 = np.random.default_rng(train_seeds[0])
     res0 = train(env.fork(train_seeds[0]), spec, p, cfg, rng0,
                  eval_env=env.fork(eval_seed + 1))
-    baseline_dense = evaluate(fresh_eval_env(), spec, p.live, eval_episodes)
+    baseline_dense = evaluate(env.fork(eval_seed), spec, p.live, eval_episodes)
     baseline_random = random_policy_reward(env.fork(rand_seed), eval_episodes,
                                            seed=rand_seed)
     baseline_weights = p.live.copy()
@@ -534,19 +546,10 @@ def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
         prune_step(p)
         rewind(p)
         rng_i = np.random.default_rng(train_seeds[i])
-        res_i = train(env.fork(train_seeds[i]), spec, p, cfg, rng_i,
-                      eval_env=env.fork(eval_seed + 1))
-        dense_eval = evaluate(fresh_eval_env(), spec, p.live, eval_episodes)
-        delta_results = {}
-        for t in thresholds:
-            delta_results[t] = evaluate(
-                fresh_eval_env(), spec, p.live, eval_episodes, mode="delta",
-                thresholds=t, input_threshold=input_threshold)
-        records.append(PipelineRecord(
-            pruned=replace(p, live=p.live.copy(),
-                           masks=[m.copy() for m in p.masks]),
-            sparsity=report_sparsity(p.masks, p.scope),
-            reward_dense=dense_eval.mean_reward, delta_results=delta_results,
-            curve=res_i.curve))
+        train(env.fork(train_seeds[i]), spec, p, cfg, rng_i)
+        snapshot = replace(p, live=p.live.copy(),
+                           masks=[m.copy() for m in p.masks])
+        records.append(evaluate_pruned(env, snapshot, eval_seed, thresholds,
+                                       eval_episodes))
     return PipelineResult(records, baseline_dense.mean_reward,
                           baseline_random, res0.curve, baseline_weights)

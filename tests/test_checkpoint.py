@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deltaq.checkpoint import (CheckpointError, load_checkpoint,
-                               save_checkpoint, save_prunable)
+from deltaq.checkpoint import CheckpointError, load_checkpoint, save_prunable
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
                             build_scaled_dqn, init_weights)
 from deltaq.pruning import PrunableWeights, prune_step
@@ -20,17 +19,22 @@ def setup(tmp_path):
     return tmp_path, spec, w, rng
 
 
+def save_unpruned(path, spec, w, extra=None):
+    """Checkpoint `w` as a network no pruning step has touched yet."""
+    save_prunable(path, PrunableWeights.create(spec, w, rate=0.2), extra=extra)
+
+
 def test_roundtrip_weights_bitwise(setup):
     tmp, spec, w, _ = setup
     path = tmp / "a.ckpt"
-    save_checkpoint(path, spec, w, extra={"note": "x"})
-    ck = load_checkpoint(path)
-    assert ck.spec == spec
-    assert ck.masks is None and ck.initial is None
-    assert ck.extra["note"] == "x"
-    for a, b in zip(ck.weights.weights, w.weights):
+    save_unpruned(path, spec, w, extra={"note": "x"})
+    p, meta = load_checkpoint(path)
+    assert p.spec == spec
+    assert all(m.all() for m in p.masks) and p.iteration == 0
+    assert meta == {"note": "x"}
+    for a, b in zip(p.live.weights, w.weights):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-    for a, b in zip(ck.weights.biases, w.biases):
+    for a, b in zip(p.live.biases, w.biases):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
@@ -42,21 +46,21 @@ def test_roundtrip_prunable(setup):
         lw += rng.normal(size=lw.shape) * (lw != 0)
     path = tmp / "b.ckpt"
     save_prunable(path, p, extra={"env": "mini-breakout"})
-    ck = load_checkpoint(path)
-    assert ck.extra == {"iteration": 1, "rate": 0.25,
-                        "scope": list(p.scope), "env": "mini-breakout"}
-    for m1, m2 in zip(p.masks, ck.masks):
+    loaded, meta = load_checkpoint(path)
+    assert (loaded.iteration, loaded.rate, loaded.scope) == (1, 0.25, p.scope)
+    assert meta == {"env": "mini-breakout"}
+    for m1, m2 in zip(p.masks, loaded.masks):
         assert np.array_equal(m1, m2)
-    for a, b in zip(ck.weights.weights, p.live.weights):
+    for a, b in zip(loaded.live.weights, p.live.weights):
         assert np.array_equal(a, b)
-    for a, b in zip(ck.initial.weights, p.initial.weights):
+    for a, b in zip(loaded.initial.weights, p.initial.weights):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_bad_magic_and_truncation(setup):
     tmp, spec, w, _ = setup
     path = tmp / "c.ckpt"
-    save_checkpoint(path, spec, w)
+    save_unpruned(path, spec, w)
     raw = path.read_bytes()
     (tmp / "bad1.ckpt").write_bytes(b"NOTMAGIC" + raw[8:])
     with pytest.raises(CheckpointError):
@@ -69,7 +73,7 @@ def test_bad_magic_and_truncation(setup):
 def test_version_tag_enforced(setup):
     tmp, spec, w, _ = setup
     path = tmp / "d.ckpt"
-    save_checkpoint(path, spec, w)
+    save_unpruned(path, spec, w)
     raw = bytearray(path.read_bytes())
     raw[8:12] = np.uint32(99).tobytes()
     (tmp / "v99.ckpt").write_bytes(bytes(raw))
@@ -79,15 +83,15 @@ def test_version_tag_enforced(setup):
 
 def test_file_bytes_deterministic(setup):
     tmp, spec, w, _ = setup
-    save_checkpoint(tmp / "x1.ckpt", spec, w, extra={"k": 1})
-    save_checkpoint(tmp / "x2.ckpt", spec, w, extra={"k": 1})
+    save_unpruned(tmp / "x1.ckpt", spec, w, extra={"k": 1})
+    save_unpruned(tmp / "x2.ckpt", spec, w, extra={"k": 1})
     assert (tmp / "x1.ckpt").read_bytes() == (tmp / "x2.ckpt").read_bytes()
 
 
 def test_truncation_names_the_path(setup):
     tmp, spec, w, _ = setup
     path = tmp / "t.ckpt"
-    save_checkpoint(path, spec, w, extra={"note": "x" * 40})
+    save_unpruned(path, spec, w, extra={"note": "x" * 40})
     raw = path.read_bytes()
     hlen = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
     cuts = {"prefix": 10, "header": 16 + hlen // 2,
@@ -105,14 +109,13 @@ def test_nonfinite_values_rejected(setup, bad):
     tmp, spec, w, _ = setup
     weights = w.copy()
     weights.weights[1][2, 3] = bad
-    save_checkpoint(tmp / "w.ckpt", spec, weights)
+    save_unpruned(tmp / "w.ckpt", spec, weights)
     biases = w.copy()
     biases.biases[0][1] = bad
-    save_checkpoint(tmp / "b.ckpt", spec, biases)
-    initial = w.copy()
-    initial.weights[0][0, 0, 1, 1] = bad
-    masks = [np.ones(l.weight_shape(), dtype=bool) for l in spec.layers]
-    save_checkpoint(tmp / "i.ckpt", spec, w, masks=masks, initial=initial)
+    save_unpruned(tmp / "b.ckpt", spec, biases)
+    p = PrunableWeights.create(spec, w, rate=0.2)
+    p.initial.weights[0][0, 0, 1, 1] = bad
+    save_prunable(tmp / "i.ckpt", p)
     for name in ("w.ckpt", "b.ckpt", "i.ckpt"):
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(tmp / name)
@@ -120,16 +123,20 @@ def test_nonfinite_values_rejected(setup, bad):
 
 def test_live_weight_under_false_mask_rejected(setup):
     tmp, spec, w, rng = setup
-    masks = [rng.random(l.weight_shape()) < 0.5 for l in spec.layers]
-    clean = w.copy()
-    for cw, m in zip(clean.weights, masks):
-        cw[~m] = 0.0
-    save_checkpoint(tmp / "ok.ckpt", spec, clean, masks=masks, initial=w)
+    p = PrunableWeights.create(spec, w, rate=0.2)
+    p.masks = [rng.random(l.weight_shape()) < 0.5 for l in spec.layers]
+    save_prunable(tmp / "ok.ckpt", p)  # zeroes the masked live weights
     load_checkpoint(tmp / "ok.ckpt")
-    dirty = clean.copy()
-    k = np.argwhere(~masks[2])[0]
-    dirty.weights[2][tuple(k)] = 0.25
-    save_checkpoint(tmp / "dirty.ckpt", spec, dirty, masks=masks, initial=w)
+    # the writer never leaves a nonzero weight under a False mask, so
+    # write one into the payload: Dense-2's live weights follow the
+    # header and the live weights and biases of the two layers before it
+    raw = bytearray((tmp / "ok.ckpt").read_bytes())
+    hlen = int(np.frombuffer(raw[12:16], dtype="<u4")[0])
+    k = int(np.flatnonzero(~p.masks[2])[0])
+    at = 16 + hlen + 8 * (sum(l.param_count() for l in spec.layers[:2]) + k)
+    assert raw[at:at + 8] == bytes(8)
+    raw[at:at + 8] = np.float64(0.25).tobytes()
+    (tmp / "dirty.ckpt").write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="False mask") as err:
         load_checkpoint(tmp / "dirty.ckpt")
     assert "layer 2" in str(err.value)
@@ -162,6 +169,9 @@ def _set_layer(i, key, value):
 BAD_HEADERS = {
     "missing-layers": _drop("layers"),
     "missing-has-masks": _drop("has_masks"),
+    "missing-extra": _drop("extra"),
+    "no-masks": lambda h: {**h, "has_masks": False},
+    "no-initial": lambda h: {**h, "has_initial": False},
     "missing-n-output": _drop("n_output"),
     "unknown-layer-field": _set_layer(0, "dilation", 2),
     "unknown-layer-kind": _set_layer(0, "kind", "pool"),
@@ -177,8 +187,7 @@ BAD_HEADERS = {
 def test_bad_header_schema_names_the_path(setup, case):
     tmp, spec, w, _ = setup
     good = tmp / "good.ckpt"
-    save_checkpoint(good, spec, w, masks=[np.ones(l.weight_shape(), dtype=bool)
-                                          for l in spec.layers])
+    save_unpruned(good, spec, w)
     load_checkpoint(good)
     bad = tmp / f"{case}.ckpt"
     rewrite_header(good, bad, BAD_HEADERS[case])
@@ -194,6 +203,13 @@ def _set_extra(key, value):
     return edit
 
 
+def _drop_extra(key):
+    def edit(h):
+        del h["extra"][key]
+        return h
+    return edit
+
+
 BAD_EXTRAS = {
     "rate-above-one": _set_extra("rate", 5),
     "rate-nan": _set_extra("rate", float("nan")),
@@ -204,6 +220,9 @@ BAD_EXTRAS = {
     "scope-not-list": _set_extra("scope", "conv"),
     "env-max-steps-zero": _set_extra("env_max_steps", 0),
     "env-not-string": _set_extra("env", 3),
+    "iteration-missing": _drop_extra("iteration"),
+    "rate-missing": _drop_extra("rate"),
+    "scope-missing": _drop_extra("scope"),
 }
 
 
@@ -211,7 +230,7 @@ BAD_EXTRAS = {
 def test_bad_extra_names_the_path(setup, case):
     tmp, spec, w, _ = setup
     good = tmp / "good.ckpt"
-    save_prunable(good, PrunableWeights.create(spec, w, rate=0.2),
+    save_unpruned(good, spec, w,
                   extra={"env": "mini-breakout", "env_max_steps": 40})
     load_checkpoint(good)
     bad = tmp / f"{case}.ckpt"

@@ -1,11 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
-from deltaq.checkpoint import save_checkpoint
+from deltaq.checkpoint import load_checkpoint, save_prunable
 from deltaq.cli import main
-from deltaq.network import build_scaled_dqn, init_weights
 
 SMOKE_CONFIG = """
 [env]
@@ -95,6 +93,14 @@ class TestPipeline:
                     "checkpoints/iter_002.ckpt"):
             assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    def test_checkpoint_resaves_to_identical_bytes(self, smoke_run, tmp_path):
+        _, _, out = smoke_run
+        for name in ("iter_001.ckpt", "iter_002.ckpt"):
+            src = out / "checkpoints" / name
+            p, meta = load_checkpoint(src)
+            save_prunable(tmp_path / name, p, extra=meta)
+            assert (tmp_path / name).read_bytes() == src.read_bytes(), name
+
     def test_invalid_config_rejected_before_work(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[pruning]\niterations = 0\n")
@@ -135,15 +141,24 @@ class TestPipeline:
         assert fragment in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("line", ["preset = reference", "n_output = 6"])
-    def test_removed_network_keys_exit_2(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("section,line", [
+        pytest.param("network", "preset = reference", id="preset = reference"),
+        pytest.param("network", "n_output = 6", id="n_output = 6"),
+        pytest.param("delta", "input_threshold = 0.002",
+                     id="input_threshold = 0.002"),
+    ])
+    def test_removed_network_keys_exit_2(self, tmp_path, capsys, section,
+                                         line):
         bad = tmp_path / "old.ini"
-        bad.write_text(SMOKE_CONFIG.replace("[network]\n", f"[network]\n{line}\n"))
+        text = SMOKE_CONFIG if f"[{section}]\n" in SMOKE_CONFIG \
+            else SMOKE_CONFIG + f"[{section}]\n"
+        bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
         out = tmp_path / "never"
         assert main(["pipeline", "--config", str(bad), "--seed", "1",
                      "--out", str(out)]) == 2
         assert not (out / "config.ini").exists()
-        assert "unknown key" in capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"[{section}] {key}: unknown key" in capsys.readouterr().err
 
 
 class TestDeltaEval:
@@ -186,27 +201,34 @@ class TestDeltaEval:
         for row in rows:
             assert {k: got[k] for k in keys} == {k: row[k] for k in keys}
 
-    def test_masks_without_initial_snapshot(self, tmp_path):
-        """Sparsity comes from the masks alone, over the conv scope when the
-        header names none."""
-        spec = build_scaled_dqn((4, 10, 10), 3, conv_filters=4, dense_hidden=16)
-        w = init_weights(spec, np.random.default_rng(0))
-        masks = [np.ones(l.weight_shape(), dtype=bool) for l in spec.layers]
-        masks[0].ravel()[::2] = False            # half of Conv2d-1
-        w.weights[0][~masks[0]] = 0.0
-        ckpt = tmp_path / "masks-only.ckpt"
-        save_checkpoint(ckpt, spec, w, masks=masks,
-                        extra={"env": "mini-breakout", "env_max_steps": 40})
-        dest = tmp_path / "mo"
-        assert main(["delta-eval", "--checkpoint", str(ckpt), "--threshold",
-                     "0", "--episodes", "1", "--out", str(dest)]) == 0
-        rec = json.loads((dest / "records.json").read_text())["records"][0]
-        assert rec["iteration"] == 0
-        assert rec["sparsity_total"] == 0.5
-        assert rec["sparsity_all"] == \
-            (masks[0].size / 2) / sum(m.size for m in masks)
-        assert rec["per_layer_weight_sparsity"] == \
-            {"Conv2d-1": 0.5, "Dense-1": 0.0, "Dense-2": 0.0}
+    @pytest.mark.parametrize("part", ["masks", "initial"])
+    def test_checkpoint_without_masks_or_initial_exits_2(
+            self, smoke_run, tmp_path, capsys, part):
+        """A file in the older layout that leaves out the masks or the
+        initial snapshot, with its header flag false, is not a pruned
+        network: delta-eval stops before writing anything."""
+        _, _, out = smoke_run
+        src = out / "checkpoints" / "iter_001.ckpt"
+        p, _ = load_checkpoint(src)
+        raw = src.read_bytes()
+        hlen = int.from_bytes(raw[12:16], "little")
+        header = json.loads(raw[16:16 + hlen])
+        header[f"has_{part}"] = False
+        n_live = 8 * sum(l.param_count() for l in p.spec.layers)
+        n_masks = sum(m.size for m in p.masks)
+        payload = raw[16 + hlen:]
+        live, rest = payload[:n_live], payload[n_live:]
+        payload = live + (rest[n_masks:] if part == "masks" else rest[:n_masks])
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / f"no-{part}.ckpt"
+        bad.write_bytes(raw[:12] + len(blob).to_bytes(4, "little") + blob
+                        + payload)
+        dest = tmp_path / "none"
+        assert main(["delta-eval", "--checkpoint", str(bad), "--threshold",
+                     "0", "--episodes", "1", "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "has_" in err
+        assert not dest.exists()
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert main(["delta-eval", "--checkpoint", str(tmp_path / "no.ckpt"),
@@ -290,6 +312,19 @@ class TestReport:
         assert not (dest / "records.json").exists()
         assert not (dest / "curve.csv").exists()
 
+    def test_unrenderable_record_exits_2_and_writes_nothing(
+            self, smoke_run, tmp_path, capsys):
+        _, _, out = smoke_run
+        payload = json.loads((out / "records.json").read_text())
+        del payload["records"][-1]["per_layer_measured"]["Dense-1"]
+        src = tmp_path / "holed.json"
+        src.write_text(json.dumps(payload))
+        dest = tmp_path / "h"
+        assert main(["report", "--records", str(src), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:") and "Dense-1" in err
+        assert not dest.exists()
+
 
 class TestBadInputsExit2:
     def test_pipeline_network_too_large_for_frames(self, tmp_path, capsys):
@@ -361,3 +396,49 @@ class TestBadInputsExit2:
         assert main(["delta-eval", "--checkpoint", str(ckpt), "--env", "pong",
                      "--out", str(tmp_path / "p")]) == 2
         assert "unknown environment" in capsys.readouterr().err
+
+
+SILENT_CONFIG = SMOKE_CONFIG + "[delta]\nthresholds = 0,5\ncurve_threshold = 5\n"
+
+
+@pytest.fixture(scope="module")
+def silent_run(tmp_path_factory):
+    """A pipeline with a threshold no binary frame change reaches: at T=5
+    no input event ever fires, so no multiplication is measured."""
+    root = tmp_path_factory.mktemp("silent")
+    cfg = root / "run.ini"
+    cfg.write_text(SILENT_CONFIG)
+    out = root / "run"
+    rc = main(["pipeline", "--config", str(cfg), "--seed", "5",
+               "--out", str(out)])
+    return root, out, rc
+
+
+class TestNothingFires:
+    def test_pipeline_reports_infinite_reduction(self, silent_run):
+        _, out, rc = silent_run
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {"curve.csv", "tables.txt"} <= set(manifest["artifacts"])
+        rows = (out / "curve.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2 and all(r.endswith(",inf") for r in rows)
+        assert all(r["measured_total"] == 0.0 for r in json.loads(
+            (out / "records.json").read_text())["records"])
+        assert "reduction factor: inf (infx)" in (out / "tables.txt").read_text()
+
+    def test_report_rerenders_byte_for_byte(self, silent_run):
+        root, out, _ = silent_run
+        dest = root / "rerender"
+        assert main(["report", "--records", str(out / "records.json"),
+                     "--out", str(dest)]) == 0
+        for name in ("curve.csv", "tables.txt"):
+            assert (dest / name).read_bytes() == (out / name).read_bytes()
+
+    def test_delta_eval_reports_infinite_reduction(self, silent_run):
+        root, out, _ = silent_run
+        dest = root / "de5"
+        assert main(["delta-eval", "--checkpoint",
+                     str(out / "checkpoints" / "iter_002.ckpt"), "--threshold",
+                     "5", "--episodes", "1", "--out", str(dest)]) == 0
+        rows = (dest / "curve.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].endswith(",inf")

@@ -12,7 +12,6 @@ def test_defaults_load_without_file():
     assert cfg.training.steps == 16000
     assert cfg.thresholds == (0.0, 0.001)
     assert cfg.prune_iterations >= 1
-    assert cfg.input_threshold is None
 
 
 def test_file_overrides_defaults(tmp_path):
@@ -107,7 +106,7 @@ def test_bad_network_integers_rejected(tmp_path, key, value):
 
 @pytest.mark.parametrize("section,key,value", [
     ("delta", "thresholds", "nan"), ("delta", "thresholds", "0,inf"),
-    ("delta", "input_threshold", "nan"), ("delta", "curve_threshold", "inf"),
+    ("delta", "curve_threshold", "inf"),
     ("training", "learning_rate", "nan"), ("training", "huber_delta", "-inf"),
 ])
 def test_nonfinite_floats_rejected(tmp_path, section, key, value):
@@ -197,7 +196,7 @@ def test_written_config_loads_like_its_source(tmp_path):
                    "[network]\nconv_filters = 8\n"
                    "[training]\nadam_eps = 3e-7\nbuffer_capacity = 900\n"
                    "[pruning]\nscope = all\n"
-                   "[delta]\nthresholds = 0,0.01\ninput_threshold = 0.002\n"
+                   "[delta]\nthresholds = 0,0.01\n"
                    "curve_threshold = 0.01\n")
     out = tmp_path / "out.ini"
     write_config(src, out)
@@ -211,7 +210,7 @@ def test_schema_names_every_field_once():
               for f in dataclasses.fields(cls)} - {(RunConfig, "training")}
     rows = [(TrainingConfig if k.section == "training" else RunConfig, k.attr)
             for k in SCHEMA]
-    assert len(rows) == len(set(rows)) == 30
+    assert len(rows) == len(set(rows)) == 29
     assert set(rows) == fields
 
 

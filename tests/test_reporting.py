@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -41,10 +42,12 @@ class TestReductionFactor:
         assert rec.reduction_factor == 1.0
         assert rec.significant_fraction == 1.0
 
-    def test_zero_measured_rejected(self):
+    def test_zero_measured_is_infinite(self):
+        """Nothing fired: the factor is inf, and both renderings say so."""
         rec = synthetic_record(measured_total=0.0)
-        with pytest.raises(ValueError):
-            _ = rec.reduction_factor
+        assert rec.reduction_factor == math.inf
+        assert "reduction factor: inf (infx)" in build_table([rec])
+        assert curve_csv([rec]).splitlines()[1].endswith(",0.00000000,inf")
 
 
 class TestTable:
@@ -160,6 +163,17 @@ class TestJsonRoundtrip:
                     "reward_dense", "reward_delta", "measured_total",
                     "timesteps"):
             assert key in rec
+
+    @pytest.mark.parametrize("key,value", [
+        ("measured_total", -1.0), ("per_layer_measured", {"Conv2d-1": -0.5}),
+        ("static_total", 0), ("timesteps", 0),
+    ])
+    def test_values_no_run_produces_rejected(self, key, value):
+        payload = json.loads(records_to_json([synthetic_record()]))
+        rec = payload["records"][0]
+        rec[key] = {**rec[key], **value} if isinstance(value, dict) else value
+        with pytest.raises(ValueError, match=f"record 0: .*(measured|{key})"):
+            records_from_json(json.dumps(payload))
 
 
 def test_write_report_files(tmp_path):

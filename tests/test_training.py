@@ -359,8 +359,8 @@ class TestTrain:
         for w, m in zip(p.live.weights, p.masks):
             assert np.all(w[~m] == 0.0)
         save_prunable(tmp_path / "p.ckpt", p)
-        loaded = load_checkpoint(tmp_path / "p.ckpt")
-        for a, b in zip(loaded.weights.weights, p.live.weights):
+        loaded, _ = load_checkpoint(tmp_path / "p.ckpt")
+        for a, b in zip(loaded.live.weights, p.live.weights):
             assert np.array_equal(a, b)
         rewind(p)
         for w, i, m in zip(p.live.weights, p.initial.weights, p.masks):
