@@ -3,8 +3,8 @@
 
 A game frame differs from its predecessor in a handful of pixels, so most
 neurons have nothing new to say. The delta engine transmits only changes
-that clear a per-layer threshold and counts every multiplication whose two
-operands are both nonzero.
+that clear one threshold, the same for the input and every layer, and
+counts every multiplication whose two operands are both nonzero.
 """
 
 import numpy as np

@@ -7,9 +7,9 @@ Subcommands:
   report         re-render report files from a records.json
 
 Experiment parameters live in the config file; the command line carries only
-operational flags (paths, seed, output directory). Every run writes a
-manifest listing the artifacts it produced, and exits 0 only when all
-requested outputs were written.
+operational flags (paths, seed, output directory). `pipeline` and
+`delta-eval` write a manifest listing the artifacts they produced; every
+command exits 0 only when all requested outputs were written.
 """
 
 from __future__ import annotations

@@ -89,13 +89,16 @@ class RunConfig:
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:
-    """A comma-separated list of delta thresholds, each finite and >= 0."""
+    """A comma-separated list of distinct delta thresholds, each finite and
+    >= 0."""
     try:
         thresholds = tuple(float(s) for s in text.split(","))
     except ValueError:
         raise ValueError(f"not a comma-separated list of numbers: {text!r}") from None
     if not all(math.isfinite(t) and t >= 0 for t in thresholds):
         raise ValueError(f"must be finite and >= 0, got {text}")
+    if len(set(thresholds)) < len(thresholds):
+        raise ValueError(f"must not repeat a value, got {text}")
     return thresholds
 
 

@@ -3,17 +3,17 @@ exact significant-multiplication accounting.
 
 Instead of recomputing every layer from scratch each timestep, each neuron
 keeps a running pre-activation accumulator and the last value it transmitted
-downstream. When a new frame arrives, only input entries whose change reaches
-the input threshold emit delta events; each event updates downstream
-accumulators through the nonzero, unpruned weights it touches, and a neuron
-re-transmits only when its activation has drifted at least its layer
-threshold away from the last transmitted value (a hysteresis gate: the
-comparison point is the last *sent* value, so sub-threshold residue is never
-discarded).
+downstream. One threshold gates the input and every layer alike: when a new
+frame arrives, only input entries whose change reaches the threshold emit
+delta events; each event updates downstream accumulators through the
+nonzero, unpruned weights it touches, and a neuron re-transmits only when
+its activation has drifted at least the threshold away from the last
+transmitted value (a hysteresis gate: the comparison point is the last
+*sent* value, so sub-threshold residue is never discarded).
 
 Each weighted layer is one ``_Layer`` record: its masked weights, bias,
-per-input event costs, conv tables, reusable buffers, threshold and the flat
-episode state (accumulator ``o`` and last transmitted values ``x``).
+per-input event costs, conv tables, reusable buffers and the flat episode
+state (accumulator ``o`` and last transmitted values ``x``).
 
 Events update accumulators in place; no layer is re-run. A conv layer looks
 each fired input position up in a footprint table, the inverse of its im2col
@@ -53,6 +53,8 @@ two coincide.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -101,24 +103,6 @@ class OpCounter:
         return out.merge(self)
 
 
-def resolve_thresholds(spec: NetworkSpec, thresholds: float | Sequence[float],
-                       input_threshold: float | None = None) -> tuple[float, list[float]]:
-    """Normalize a scalar or per-layer threshold spec; the input buffer
-    defaults to the first layer threshold (the global value, when scalar)."""
-    if np.isscalar(thresholds):
-        per_layer = [float(thresholds)] * len(spec.layers)
-    else:
-        per_layer = [float(t) for t in thresholds]
-        if len(per_layer) != len(spec.layers):
-            raise ValueError(
-                f"got {len(per_layer)} thresholds for {len(spec.layers)} layers"
-            )
-    t_in = float(input_threshold) if input_threshold is not None else per_layer[0]
-    if not all(np.isfinite(t) and t >= 0 for t in (t_in, *per_layer)):
-        raise ValueError("thresholds must be finite and nonnegative")
-    return t_in, per_layer
-
-
 @dataclass(eq=False, slots=True)
 class _Layer:
     """One weighted layer of a DeltaNetwork: constants, reusable buffers and
@@ -128,7 +112,6 @@ class _Layer:
     w: np.ndarray           # masked: conv (F, C, Ky, Kx), dense (in, out) C-order
     b: np.ndarray
     costs: np.ndarray       # significant multiplications per flat input event
-    threshold: float
     zero_deltas: np.ndarray  # a zero delta image (conv) or vector (dense) of the input
     full_from: float        # fired inputs above which a dense layer takes the full product
     act: np.ndarray | None  # relu output buffer; None for identity
@@ -152,16 +135,22 @@ class DeltaNetwork:
     """
 
     def __init__(self, spec: NetworkSpec, weights: WeightSet,
-                 thresholds: float | Sequence[float] = 0.001,
-                 input_threshold: float | None = None,
+                 thresholds: float = 0.001,
                  masks: Sequence[np.ndarray] | None = None,
                  trace: IO[str] | None = None):
         weights.validate(spec)
         for arr in (*weights.weights, *weights.biases):
             check_finite(arr)
         self.spec = spec
-        self.input_threshold, per_layer_t = resolve_thresholds(
-            spec, thresholds, input_threshold)
+        if not isinstance(thresholds, numbers.Real):
+            raise TypeError(
+                f"threshold must be one real number, got {thresholds!r}")
+        if not (math.isfinite(thresholds) and thresholds >= 0):
+            raise ValueError(
+                f"threshold must be finite and nonnegative, got {thresholds}")
+        # the one threshold of the input row and every layer; the name is
+        # the one bench/tracing.py labels step spans by
+        self.input_threshold = float(thresholds)
         self.trace = trace
 
         self.layers: list[_Layer] = []
@@ -196,8 +185,8 @@ class DeltaNetwork:
                 costs = np.count_nonzero(w, axis=1).astype(np.int64)
             self.layers.append(_Layer(
                 spec=layer, w=w, b=weights.biases[i].copy(),
-                costs=costs, threshold=per_layer_t[i],
-                full_from=DENSE_FULL_FRACTION * n_in, **bufs, **conv))
+                costs=costs, full_from=DENSE_FULL_FRACTION * n_in,
+                **bufs, **conv))
             in_shape = out_shape
 
         self.input_prev = np.empty(int(np.prod(spec.input_shape)))
@@ -220,19 +209,8 @@ class DeltaNetwork:
             raise ValueError(
                 f"frame shape {frame.shape} != {self.spec.input_shape}")
         check_finite(frame)
-        t = self.counter.timesteps
         ctr = self.counter
-
-        flat = frame.reshape(-1)
-        d = flat - self.input_prev
-        idx = _fired(d, self.input_threshold)
-        deltas = d[idx]
-        if idx.size:
-            self.input_prev[idx] = flat[idx]
-        ctr.events_sent[0] += idx.size
-        if self.trace is not None:
-            self._write_trace(t, "Input", idx, deltas)
-
+        idx, deltas = self._gate(0, frame.reshape(-1), self.input_prev)
         for k, L in enumerate(self.layers, 1):
             o = L.o
             if idx.size:
@@ -248,20 +226,33 @@ class DeltaNetwork:
                 ctr.significant_multiplications[k] += int(L.costs[idx].sum())
 
             if idx.size or self._first_step:
-                x = L.x
                 act = o if L.act is None else np.maximum(o, 0.0, out=L.act)
-                d = act - x
-                idx = _fired(d, L.threshold)
-                deltas = d[idx]
-                if idx.size:
-                    x[idx] = act[idx]
-                    if self.trace is not None:
-                        self._write_trace(t, ctr.layer_names[k], idx, deltas)
-                ctr.events_sent[k] += idx.size
+                idx, deltas = self._gate(k, act, L.x)
 
         self._first_step = False
         ctr.timesteps += 1
         return self.layers[-1].x.copy()
+
+    def _gate(self, k: int, value: np.ndarray,
+              sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row k's events: the flat indices where `value` differs from the
+        last `sent` value by a nonzero amount of at least the threshold (for
+        a threshold > 0 the second implies the first), and those changes.
+        `sent` catches up at the fired indices, which are counted and
+        traced."""
+        d = value - sent
+        t = self.input_threshold
+        idx = ((d != 0.0) if t == 0.0 else (np.abs(d) >= t)).nonzero()[0]
+        deltas = d[idx]
+        if idx.size:
+            sent[idx] = value[idx]
+            ctr = self.counter
+            ctr.events_sent[k] += idx.size
+            if self.trace is not None:
+                head = f"{ctr.timesteps}\t{ctr.layer_names[k]}\t"
+                self.trace.write("".join(f"{head}{int(i)}\t{float(v)!r}\n"
+                                         for i, v in zip(idx, deltas)))
+        return idx, deltas
 
     def _conv_update(self, L: _Layer, idx: np.ndarray,
                      deltas: np.ndarray) -> None:
@@ -290,20 +281,6 @@ class DeltaNetwork:
             else:
                 L.o[...] = L.w.T @ prev + L.b
             prev = L.x
-
-    def _write_trace(self, t: int, label: str, idx: np.ndarray,
-                     deltas: np.ndarray) -> None:
-        lines = [f"{t}\t{label}\t{int(i)}\t{float(d)!r}\n"
-                 for i, d in zip(idx, deltas)]
-        self.trace.write("".join(lines))
-
-
-def _fired(d: np.ndarray, threshold: float) -> np.ndarray:
-    """Flat indices where a change d passes the gate: nonzero and at least
-    the threshold in magnitude (for a threshold > 0 the second implies the
-    first)."""
-    fire = (d != 0.0) if threshold == 0.0 else (np.abs(d) >= threshold)
-    return fire.nonzero()[0]
 
 
 def conv_event_costs(w: np.ndarray, in_shape: tuple[int, int, int],

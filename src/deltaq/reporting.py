@@ -169,7 +169,8 @@ def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
     """Parse a records file; raises ValueError, TypeError or KeyError on
     bad JSON, missing or unknown fields, a field of the wrong type, or a
     value no run produces (a negative measured count, a static total or
-    timestep count below 1)."""
+    timestep count below 1, measured and static rows over different
+    layers, or a total that is not the sum of its rows)."""
     payload = json.loads(text)
     records = [RunRecord(**d) for d in payload["records"]]
     for i, rec in enumerate(records):
@@ -185,6 +186,20 @@ def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
             if getattr(rec, name) < 1:
                 raise ValueError(f"record {i}: {name} must be >= 1, "
                                  f"got {getattr(rec, name)}")
+        if rec.per_layer_measured.keys() != rec.per_layer_static.keys():
+            raise KeyError(f"record {i}: per_layer_measured layers "
+                           f"{sorted(rec.per_layer_measured)} != per_layer_static "
+                           f"layers {sorted(rec.per_layer_static)}")
+        static = sum(rec.per_layer_static.values())
+        if rec.static_total != static:
+            raise ValueError(f"record {i}: static_total {rec.static_total} "
+                             f"is not the sum of per_layer_static, {static}")
+        # the rows are nonnegative, so their summation order moves the sum
+        # by far less than rel_tol
+        measured = math.fsum(rec.per_layer_measured.values())
+        if not math.isclose(rec.measured_total, measured, rel_tol=1e-12):
+            raise ValueError(f"record {i}: measured_total {rec.measured_total} "
+                             f"is not the sum of per_layer_measured, {measured}")
     return records, payload.get("meta", {})
 
 

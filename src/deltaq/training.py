@@ -424,7 +424,7 @@ class EvalResult:
 
 def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
              episodes: int, mode: str = "dense",
-             thresholds: float | list[float] = 0.001) -> EvalResult:
+             thresholds: float = 0.001) -> EvalResult:
     """Greedy rollouts; returns mean reward and merged operation counters.
 
     `weights` are used as given: a pruned network passes its masked live

@@ -312,6 +312,21 @@ class TestReport:
         assert not (dest / "records.json").exists()
         assert not (dest / "curve.csv").exists()
 
+    def test_total_not_row_sum_exits_2_and_writes_nothing(
+            self, smoke_run, tmp_path, capsys):
+        # rendered, it printed "Total 999" under rows that sum to more,
+        # and a reduction factor computed from 999
+        _, _, out = smoke_run
+        payload = json.loads((out / "records.json").read_text())
+        payload["records"][0]["static_total"] = 999
+        src = tmp_path / "summed.json"
+        src.write_text(json.dumps(payload))
+        dest = tmp_path / "s"
+        assert main(["report", "--records", str(src), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:") and "static_total" in err
+        assert not dest.exists()
+
     def test_unrenderable_record_exits_2_and_writes_nothing(
             self, smoke_run, tmp_path, capsys):
         _, _, out = smoke_run
@@ -346,6 +361,31 @@ class TestBadInputsExit2:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert "[delta] curve_threshold" in capsys.readouterr().err
+
+    def test_pipeline_repeated_threshold_rejected(self, tmp_path, capsys):
+        # a repeat would be evaluated twice and kept once
+        bad = tmp_path / "repeat.ini"
+        bad.write_text(SMOKE_CONFIG + "[delta]\nthresholds = 0,0.001,0.001\n")
+        out = tmp_path / "never"
+        assert main(["pipeline", "--config", str(bad), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[delta] thresholds: must not repeat a value" in captured.err
+
+    def test_delta_eval_repeated_threshold_rejected(self, smoke_run, tmp_path,
+                                                    capsys):
+        _, _, out = smoke_run
+        ckpt = out / "checkpoints" / "iter_001.ckpt"
+        dest = tmp_path / "r"
+        assert main(["delta-eval", "--checkpoint", str(ckpt), "--threshold",
+                     "0,0.001,1e-3", "--episodes", "1", "--out", str(dest)]) == 2
+        assert not dest.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: --threshold: must not repeat a value")
 
     @pytest.mark.parametrize("command", [
         ["pipeline"], ["delta-eval", "--checkpoint", "any.ckpt"],

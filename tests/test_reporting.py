@@ -167,6 +167,8 @@ class TestJsonRoundtrip:
     @pytest.mark.parametrize("key,value", [
         ("measured_total", -1.0), ("per_layer_measured", {"Conv2d-1": -0.5}),
         ("static_total", 0), ("timesteps", 0),
+        # totals that are not the sum of their rows
+        ("static_total", 9344832 + 1), ("measured_total", 75012.0 * 1.001),
     ])
     def test_values_no_run_produces_rejected(self, key, value):
         payload = json.loads(records_to_json([synthetic_record()]))
@@ -174,6 +176,15 @@ class TestJsonRoundtrip:
         rec[key] = {**rec[key], **value} if isinstance(value, dict) else value
         with pytest.raises(ValueError, match=f"record 0: .*(measured|{key})"):
             records_from_json(json.dumps(payload))
+
+    def test_measured_rows_summed_in_any_order_accepted(self):
+        rows = {"Conv2d-1": 0.1, "Conv2d-2": 0.2, "Dense-1": 0.3}
+        rec = synthetic_record()
+        rec.per_layer_static = dict(zip(rows, (3, 2, rec.static_total - 5)))
+        rec.per_layer_measured = rows
+        rec.measured_total = 0.3 + 0.2 + 0.1  # != 0.1 + 0.2 + 0.3
+        assert rec.measured_total != sum(rows.values())
+        assert records_from_json(records_to_json([rec]))[0] == [rec]
 
 
 def test_write_report_files(tmp_path):
