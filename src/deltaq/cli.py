@@ -26,7 +26,7 @@ from .config import ConfigError, load_config, parse_thresholds, write_config
 from .envs import make_env
 from .network import build_reference_dqn, static_network_multiplications
 from .reporting import (RunRecord, record_from_counters, records_from_json,
-                        records_to_json, write_report_files)
+                        write_report_files)
 from .training import PipelineRecord, evaluate_pruned, lottery_pipeline
 
 
@@ -87,7 +87,7 @@ def cmd_pipeline(args) -> int:
     except ConfigError as e:
         print(f"config errors:\n{e}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
+    out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(args.config, out_dir / "config.ini")
 
@@ -115,12 +115,12 @@ def cmd_pipeline(args) -> int:
         "seed": args.seed,
         "baseline_reward_dense": result.baseline_reward_dense,
         "baseline_random": result.baseline_random,
-        "baseline_curve": result.baseline_curve,
     }
-    curve_records = [r for r in records if r.threshold == cfg.curve_threshold]
-    artifacts += write_report_files(out_dir, curve_records, meta)
+    artifacts += write_report_files(out_dir, records, meta)
+    # the same bytes as records.json, kept under its older name because
+    # bench/ checks and digests it
     all_path = out_dir / "records_all.json"
-    all_path.write_text(records_to_json(records, meta))
+    all_path.write_bytes((out_dir / "records.json").read_bytes())
     artifacts.append(all_path)
     artifacts.append(_write_manifest(out_dir, args.seed, args.config, artifacts,
                                      args.argv, extra={"env": cfg.env_name}))
@@ -167,7 +167,7 @@ def cmd_delta_eval(args) -> int:
         return 2
     records = _run_records(evaluate_pruned(env, p, args.seed, thresholds,
                                            args.episodes))
-    out_dir = Path(args.out)
+    out_dir = args.out
     artifacts = write_report_files(out_dir, records,
                                    {"checkpoint": str(ckpt_path),
                                     "env": env_name, "seed": args.seed})
@@ -202,6 +202,16 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _out_dir(text: str) -> Path:
+    """An --out directory. A path that names a file, or lies under one, is
+    rejected here, before the command does any work."""
+    out = Path(text)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"not a directory: {str(existing)!r}")
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="deltaq",
@@ -223,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the prune/rewind/retrain pipeline")
     pl.add_argument("--config", default=None, help="run configuration file")
     pl.add_argument("--seed", type=_seed, default=0)
-    pl.add_argument("--out", required=True, help="run output directory")
+    pl.add_argument("--out", type=_out_dir, required=True,
+                    help="run output directory")
     pl.set_defaults(fn=cmd_pipeline)
 
     de = sub.add_parser("delta-eval",
@@ -235,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--seed", type=_seed, default=0)
     de.add_argument("--env", default=None,
                     help="environment name (default: from checkpoint)")
-    de.add_argument("--out", required=True)
+    de.add_argument("--out", type=_out_dir, required=True)
     de.set_defaults(fn=cmd_delta_eval)
 
     rp = sub.add_parser("report", help="re-render reports from records.json")
     rp.add_argument("--records", required=True)
-    rp.add_argument("--out", required=True)
+    rp.add_argument("--out", type=_out_dir, required=True)
     rp.set_defaults(fn=cmd_report)
     return ap
 

@@ -5,8 +5,9 @@ Each key is stated once: a dataclass field holds its type and default, and
 a SCHEMA row its section, name and value rule. DEFAULTS (materialised into
 each run directory, so runs are self-describing), the unknown-key check and
 every per-key parse and range check derive from the two; the cross-key
-rules follow once every key is valid. Validation collects every problem
-before raising.
+rules (buffer capacity against warm-up and batch, network against the
+environment's frames, pruning scope against the network's layers) follow
+once every key is valid. Validation collects every problem before raising.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ class TrainingConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    eval_every: int = 0            # 0: no intermediate curve points
-    curve_episodes: int = 5
 
     def epsilon(self, step: int) -> float:
         """Exploration rate at `step`: linear from start to end over the
@@ -69,7 +68,6 @@ class RunConfig:
     prune_iterations: int = 3
     prune_scope: str = "conv"      # conv | all | comma-separated layer indices
     thresholds: tuple[float, ...] = (0.0, 0.001)
-    curve_threshold: float = 0.001
     eval_episodes: int = 30
 
     def build_network(self, state_shape: tuple[int, int, int],
@@ -174,13 +172,10 @@ SCHEMA: tuple[Key, ...] = (
     Key("training", "adam_beta1", HALF_OPEN_UNIT),
     Key("training", "adam_beta2", HALF_OPEN_UNIT),
     Key("training", "adam_eps", POSITIVE),
-    Key("training", "eval_every", AT_LEAST_0),
-    Key("training", "curve_episodes", AT_LEAST_1),
     Key("pruning", "rate", OPEN_UNIT, "prune_rate"),
     Key("pruning", "iterations", AT_LEAST_1, "prune_iterations"),
     Key("pruning", "scope", SCOPE, "prune_scope"),
     Key("delta", "thresholds", None),
-    Key("delta", "curve_threshold", None),
     Key("eval", "episodes", AT_LEAST_1, "eval_episodes"),
 )
 
@@ -231,11 +226,6 @@ def _cross_key_errors(cfg: RunConfig) -> list[str]:
               f"({tc.buffer_capacity}), got {getattr(tc, name)}"
               for name in ("min_buffer", "batch_size")
               if getattr(tc, name) > tc.buffer_capacity]
-    # curve.csv holds the curve threshold's rows only and has no threshold
-    # column, so that threshold must be one that is evaluated
-    if cfg.curve_threshold not in cfg.thresholds:
-        errors.append(f"[delta] curve_threshold: must be one of thresholds "
-                      f"({_format(cfg.thresholds)}), got {cfg.curve_threshold}")
     # the network must fit the environment's frames, and the pruning scope
     # must name its layers
     env = make_env(cfg.env_name, seed=0)

@@ -124,18 +124,20 @@ def build_table(records: list[RunRecord]) -> str:
 # tradeoff curve
 # ---------------------------------------------------------------------------
 
-CURVE_HEADER = ("iteration,sparsity_total,reward_dense,reward_delta,"
+CURVE_HEADER = ("iteration,threshold,sparsity_total,reward_dense,reward_delta,"
                 "static_mults,measured_mults,significant_fraction,"
                 "reduction_factor")
 
 
 def curve_csv(records: list[RunRecord]) -> str:
+    """One row per record, ordered by sparsity and then threshold; the
+    threshold is written with `repr`, so it reads back as the same float."""
     ordered = sorted(records, key=lambda r: (r.sparsity_total, r.threshold))
     lines = [CURVE_HEADER]
     for r in ordered:
         lines.append(
-            f"{r.iteration},{r.sparsity_total:.6f},{r.reward_dense:.6f},"
-            f"{r.reward_delta:.6f},{r.static_total},"
+            f"{r.iteration},{r.threshold!r},{r.sparsity_total:.6f},"
+            f"{r.reward_dense:.6f},{r.reward_delta:.6f},{r.static_total},"
             f"{r.measured_total:.3f},{r.significant_fraction:.8f},"
             f"{r.reduction_factor:.6f}")
     return "\n".join(lines) + "\n"
@@ -150,35 +152,37 @@ def records_to_json(records: list[RunRecord], meta: dict | None = None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _is_number(v) -> bool:
-    return type(v) in (int, float)
+def _is_finite_number(v) -> bool:
+    # json.loads reads NaN, Infinity and 1e999 as floats; no run stores one
+    return type(v) in (int, float) and math.isfinite(v)
 
 
 # a RunRecord field's annotation -> the JSON values it accepts
 _FIELD_CHECKS = {
     "int": lambda v: type(v) is int,
-    "float": _is_number,
+    "float": _is_finite_number,
     "dict[str, int]": lambda v: isinstance(v, dict) and all(
         type(k) is str and type(x) is int for k, x in v.items()),
     "dict[str, float]": lambda v: isinstance(v, dict) and all(
-        type(k) is str and _is_number(x) for k, x in v.items()),
+        type(k) is str and _is_finite_number(x) for k, x in v.items()),
 }
 
 
 def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
     """Parse a records file; raises ValueError, TypeError or KeyError on
-    bad JSON, missing or unknown fields, a field of the wrong type, or a
-    value no run produces (a negative measured count, a static total or
-    timestep count below 1, measured and static rows over different
-    layers, or a total that is not the sum of its rows)."""
+    bad JSON, missing or unknown fields, a field of the wrong type, a
+    non-finite number, or a value no run produces (a negative measured
+    count, a static total or timestep count below 1, measured and static
+    rows over different layers, or a total that is not the sum of its
+    rows)."""
     payload = json.loads(text)
     records = [RunRecord(**d) for d in payload["records"]]
     for i, rec in enumerate(records):
         for f in fields(RunRecord):
             v = getattr(rec, f.name)
             if not _FIELD_CHECKS[f.type](v):
-                raise TypeError(
-                    f"record {i}: {f.name} must be {f.type}, got {v!r}")
+                raise TypeError(f"record {i}: {f.name} must be {f.type} "
+                                f"with finite numbers, got {v!r}")
         if any(v < 0 for v in (rec.measured_total,
                                *rec.per_layer_measured.values())):
             raise ValueError(f"record {i}: measured counts must be >= 0")

@@ -13,21 +13,23 @@ view and adds column gradients back through the same windows. The
 double-Q target builds the first conv layer's columns of s' once for both
 the online and the target network.
 
-`train` keeps the online weights, the target weights, the gradient and the
-optimizer's two moments each as one contiguous float64 vector (weights of
-every layer, then biases), with per-layer `WeightSet` views over it: the
-backward pass writes into the gradient views, target sync is one copy,
-gradient masking and the re-zeroing of masked weights are one indexed
-assignment each, and `Adam.step` updates the whole vector in place in
-cache-sized chunks. Masked weights receive no gradient and are re-zeroed
-after every optimizer step, so they stay exactly zero throughout training.
-The trained values are copied back into the caller's own arrays at the end.
+`train` only trains: it plays no evaluation episodes, and its result is
+the last loss and the number of gradient steps. It keeps the online
+weights, the target weights, the gradient and the optimizer's two moments
+each as one contiguous float64 vector (weights of every layer, then
+biases), with per-layer `WeightSet` views over it: the backward pass
+writes into the gradient views, target sync is one copy, gradient masking
+and the re-zeroing of masked weights are one indexed assignment each, and
+`Adam.step` updates the whole vector in place in cache-sized chunks.
+Masked weights receive no gradient and are re-zeroed after every optimizer
+step, so they stay exactly zero throughout training. The trained values
+are copied back into the caller's own arrays at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -309,7 +311,6 @@ def double_q_target(batch: Batch, spec: NetworkSpec, online: WeightSet,
 
 @dataclass
 class TrainResult:
-    curve: list[tuple[int, float]] = field(default_factory=list)
     final_loss: float = float("nan")
     gradient_steps: int = 0
 
@@ -333,9 +334,9 @@ def _flat_views(spec: NetworkSpec, flat: np.ndarray) -> WeightSet:
 
 
 def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
-          cfg: TrainingConfig, rng: np.random.Generator,
-          eval_env: Environment | None = None) -> TrainResult:
-    """Gradient-train the live weights of `p` in place on `env`.
+          cfg: TrainingConfig, rng: np.random.Generator) -> TrainResult:
+    """Gradient-train the live weights of `p` in place on `env`; returns
+    the last loss and the number of gradient steps.
 
     Masked weights get zero gradient and are re-zeroed after each update.
     Training works on private flat vectors; the trained values are copied
@@ -399,12 +400,6 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
 
             if (step + 1) % cfg.target_sync == 0:
                 np.copyto(theta_target, theta)
-
-            if eval_env is not None and cfg.eval_every > 0 and \
-                    (step + 1) % cfg.eval_every == 0:
-                score = evaluate(eval_env, spec, online,
-                                 cfg.curve_episodes).mean_reward
-                result.curve.append((step + 1, score))
     finally:
         for dst, src in zip(live, online.weights + online.biases):
             np.copyto(dst, src)
@@ -506,7 +501,6 @@ class PipelineResult:
     records: list[PipelineRecord]
     baseline_reward_dense: float
     baseline_random: float
-    baseline_curve: list[tuple[int, float]]
     baseline_weights: WeightSet
 
 
@@ -534,8 +528,7 @@ def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
 
     # iteration 0: dense training and baselines
     rng0 = np.random.default_rng(train_seeds[0])
-    res0 = train(env.fork(train_seeds[0]), spec, p, cfg, rng0,
-                 eval_env=env.fork(eval_seed + 1))
+    train(env.fork(train_seeds[0]), spec, p, cfg, rng0)
     baseline_dense = evaluate(env.fork(eval_seed), spec, p.live, eval_episodes)
     baseline_random = random_policy_reward(env.fork(rand_seed), eval_episodes,
                                            seed=rand_seed)
@@ -552,4 +545,4 @@ def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
         records.append(evaluate_pruned(env, snapshot, eval_seed, thresholds,
                                        eval_episodes))
     return PipelineResult(records, baseline_dense.mean_reward,
-                          baseline_random, res0.curve, baseline_weights)
+                          baseline_random, baseline_weights)

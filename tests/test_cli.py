@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -71,7 +72,19 @@ class TestPipeline:
                      "curve.csv", "tables.txt", "records_all.json"):
             assert (out / name).exists()
         curve = (out / "curve.csv").read_text().strip().splitlines()
-        assert len(curve) == 1 + 2  # header + one row per iteration
+        assert len(curve) == 1 + 2 * 2  # header + (iteration, threshold) rows
+
+    def test_reports_every_iteration_and_threshold(self, smoke_run):
+        _, _, out = smoke_run
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert [(r["iteration"], r["threshold"]) for r in records] == \
+            [(1, 0.0), (1, 0.001), (2, 0.0), (2, 0.001)]
+        assert (out / "records.json").read_bytes() == \
+            (out / "records_all.json").read_bytes()
+        blocks = (out / "tables.txt").read_text().split("\n\n")
+        assert [b.splitlines()[0] for b in blocks] == [
+            "iteration 1, threshold 0", "iteration 1, threshold 0.001",
+            "iteration 2, threshold 0", "iteration 2, threshold 0.001"]
 
     def test_manifest_lists_artifacts(self, smoke_run):
         _, _, out = smoke_run
@@ -146,6 +159,11 @@ class TestPipeline:
         pytest.param("network", "n_output = 6", id="n_output = 6"),
         pytest.param("delta", "input_threshold = 0.002",
                      id="input_threshold = 0.002"),
+        pytest.param("training", "eval_every = 100", id="eval_every = 100"),
+        pytest.param("training", "curve_episodes = 5",
+                     id="curve_episodes = 5"),
+        pytest.param("delta", "curve_threshold = 0.001",
+                     id="curve_threshold = 0.001"),
     ])
     def test_removed_network_keys_exit_2(self, tmp_path, capsys, section,
                                          line):
@@ -185,6 +203,17 @@ class TestDeltaEval:
         by_t = sorted(records, key=lambda r: r["threshold"])
         measured = [r["measured_total"] for r in by_t]
         assert measured == sorted(measured, reverse=True)
+
+    def test_curve_has_one_row_per_threshold(self, smoke_run, tmp_path):
+        _, _, out = smoke_run
+        dest = tmp_path / "rows"
+        assert main(["delta-eval", "--checkpoint",
+                     str(out / "checkpoints" / "iter_002.ckpt"), "--threshold",
+                     "0.01,0,0.001", "--episodes", "1", "--out", str(dest)]) == 0
+        with open(dest / "curve.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(r["threshold"]) for r in rows] == [0.0, 0.001, 0.01]
+        assert {r["iteration"] for r in rows} == {"2"}
 
     def test_agrees_with_pipeline_records(self, smoke_run, tmp_path):
         _, _, out = smoke_run
@@ -296,6 +325,9 @@ class TestReport:
 
     @pytest.mark.parametrize("key,value", [
         ("threshold", "abc"), ("measured_total", None),
+        # json.loads reads these; rendered, they printed "threshold nan"
+        # and a curve row with "inf", and report exited 0
+        ("threshold", float("nan")), ("reward_dense", float("inf")),
     ])
     def test_wrong_field_type_exits_2_and_writes_nothing(
             self, smoke_run, tmp_path, capsys, key, value):
@@ -351,17 +383,6 @@ class TestBadInputsExit2:
         assert not out.exists()
         assert "does not fit" in capsys.readouterr().err
 
-    def test_pipeline_curve_threshold_not_evaluated(self, tmp_path, capsys):
-        bad = tmp_path / "curve.ini"
-        # smoke-sized, should the rule ever let the run through
-        bad.write_text(SMOKE_CONFIG + "[delta]\nthresholds = 0,0.001\n"
-                       "curve_threshold = 0.5\n")
-        out = tmp_path / "never"
-        assert main(["pipeline", "--config", str(bad), "--seed", "1",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
-        assert "[delta] curve_threshold" in capsys.readouterr().err
-
     def test_pipeline_repeated_threshold_rejected(self, tmp_path, capsys):
         # a repeat would be evaluated twice and kept once
         bad = tmp_path / "repeat.ini"
@@ -399,6 +420,30 @@ class TestBadInputsExit2:
         assert "error: argument --seed: must be an integer >= 0" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rel", ["taken", "taken/run"],
+                             ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["pipeline", "delta-eval", "report"])
+    def test_out_that_is_not_a_directory_exits_2(self, smoke_run, tmp_path,
+                                                 capsys, command, rel):
+        """Argument parsing rejects the path, so no command starts its
+        work (delta-eval used to crash only after its whole evaluation)."""
+        _, cfg, out = smoke_run
+        inputs = {"pipeline": ["--config", str(cfg)],
+                  "delta-eval": ["--checkpoint",
+                                 str(out / "checkpoints" / "iter_001.ckpt"),
+                                 "--episodes", "1"],
+                  "report": ["--records", str(out / "records.json")]}
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs[command], "--out", str(tmp_path / rel)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --out: not a directory: '{taken}'" in \
+            captured.err
+        assert taken.read_text() == "a file"
 
     @pytest.mark.parametrize("key,value", [
         ("rate", 5), ("rate", "0.2"), ("iteration", -1), ("scope", [9]),
@@ -438,7 +483,7 @@ class TestBadInputsExit2:
         assert "unknown environment" in capsys.readouterr().err
 
 
-SILENT_CONFIG = SMOKE_CONFIG + "[delta]\nthresholds = 0,5\ncurve_threshold = 5\n"
+SILENT_CONFIG = SMOKE_CONFIG + "[delta]\nthresholds = 0,5\n"
 
 
 @pytest.fixture(scope="module")
@@ -461,9 +506,12 @@ class TestNothingFires:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {"curve.csv", "tables.txt"} <= set(manifest["artifacts"])
         rows = (out / "curve.csv").read_text().strip().splitlines()[1:]
-        assert len(rows) == 2 and all(r.endswith(",inf") for r in rows)
+        silent = [r for r in rows if r.split(",")[1] == "5.0"]
+        assert len(rows) == 4 and len(silent) == 2
+        assert all(r.endswith(",inf") for r in silent)
         assert all(r["measured_total"] == 0.0 for r in json.loads(
-            (out / "records.json").read_text())["records"])
+            (out / "records.json").read_text())["records"]
+            if r["threshold"] == 5)
         assert "reduction factor: inf (infx)" in (out / "tables.txt").read_text()
 
     def test_report_rerenders_byte_for_byte(self, silent_run):

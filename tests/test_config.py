@@ -24,7 +24,6 @@ rate = 0.1
 iterations = 5
 [delta]
 thresholds = 0,0.01,0.1
-curve_threshold = 0.01
 """)
     cfg = load_config(path)
     assert cfg.env_name == "mini-invaders"
@@ -106,7 +105,6 @@ def test_bad_network_integers_rejected(tmp_path, key, value):
 
 @pytest.mark.parametrize("section,key,value", [
     ("delta", "thresholds", "nan"), ("delta", "thresholds", "0,inf"),
-    ("delta", "curve_threshold", "inf"),
     ("training", "learning_rate", "nan"), ("training", "huber_delta", "-inf"),
 ])
 def test_nonfinite_floats_rejected(tmp_path, section, key, value):
@@ -196,8 +194,7 @@ def test_written_config_loads_like_its_source(tmp_path):
                    "[network]\nconv_filters = 8\n"
                    "[training]\nadam_eps = 3e-7\nbuffer_capacity = 900\n"
                    "[pruning]\nscope = all\n"
-                   "[delta]\nthresholds = 0,0.01\n"
-                   "curve_threshold = 0.01\n")
+                   "[delta]\nthresholds = 0,0.01\n")
     out = tmp_path / "out.ini"
     write_config(src, out)
     cfg = load_config(src)
@@ -210,7 +207,7 @@ def test_schema_names_every_field_once():
               for f in dataclasses.fields(cls)} - {(RunConfig, "training")}
     rows = [(TrainingConfig if k.section == "training" else RunConfig, k.attr)
             for k in SCHEMA]
-    assert len(rows) == len(set(rows)) == 29
+    assert len(rows) == len(set(rows)) == 26
     assert set(rows) == fields
 
 

@@ -1,7 +1,7 @@
 """Run the demo scripts end to end in a subprocess; each must exit 0.
 
-Demo 05 trains the full pipeline on a fixed budget (about half a minute)
-and is left out; demo 04 runs with a 300-step budget.
+Demos 04 and 05 run with a 300-step training budget; demo 05 writes its
+run directory into the test's temporary directory.
 """
 
 import os
@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("02_pruning_and_rewind.py", []),
     ("03_delta_inference.py", []),
     ("04_train_minibreakout.py", ["300"]),
+    ("05_full_pipeline.py", ["run", "300"]),
 ])
 def test_demo_runs(tmp_path, script, args):
     env = dict(os.environ)

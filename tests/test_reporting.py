@@ -109,11 +109,16 @@ class TestCurve:
     def test_csv_header_and_shape(self):
         text = curve_csv([synthetic_record()])
         lines = text.strip().splitlines()
-        assert lines[0] == ("iteration,sparsity_total,reward_dense,"
+        assert lines[0] == ("iteration,threshold,sparsity_total,reward_dense,"
                             "reward_delta,static_mults,measured_mults,"
                             "significant_fraction,reduction_factor")
         assert len(lines) == 2
-        assert len(lines[1].split(",")) == 8
+        assert len(lines[1].split(",")) == 9
+
+    def test_threshold_column_round_trips(self):
+        thresholds = [0.0, 2.5e-7, 1e-3, 0.1 + 0.2]  # in row order
+        rows = curve_rows([synthetic_record(threshold=t) for t in thresholds])
+        assert [r["threshold"] for r in rows] == thresholds
 
 
 class TestRecordFromCounters:
