@@ -15,19 +15,24 @@ Each weighted layer is one ``_Layer`` record: its masked weights, bias,
 per-input event costs, conv tables, reusable buffers and the flat episode
 state (accumulator ``o`` and last transmitted values ``x``).
 
-Events update accumulators in place; no layer is re-run. A conv layer looks
-each fired input position up in a footprint table, the inverse of its im2col
-table, to mark the output positions it touches (``_conv_footprint``),
-writes the deltas into a zero delta image of its input, and gathers the
-``(C*Ky*Kx, n_affected)`` im2col block of those positions through a flat
-index table (``_im2col_table``). One ``(F, C*Ky*Kx) @ block`` product is
-added into the accumulator at the affected positions only, and the image is
-zeroed again. At full event density this is the im2col GEMM of the dense
-pass, so there is no fallback path. A dense layer keeps its masked weights
-as one (in, out) C-order array. When at most ``DENSE_FULL_FRACTION`` of its
-inputs fired it adds ``deltas @ w[fired]`` (the rows are contiguous); above
-it, the full ``delta_vector @ w`` over a zero vector holding the deltas,
-which is the faster of the two there. Zero deltas and masked (zero) weights
+Events update accumulators in place; no layer is re-run. A conv layer marks
+the output positions its events touch through a footprint table, the inverse
+of its im2col table (``_conv_footprint``). The footprint row of input
+(c, y, x) does not depend on c, so a layer with more input channels than
+footprint slots first reduces its events to their distinct (y, x) positions
+and looks each up once; the others look up each event. The layer writes the
+deltas into a zero delta image of its input, reads the affected positions'
+rows of the position-major ``(n_pos, C*Ky*Kx)`` im2col table
+(``_im2col_table``) and through them the ``(n_affected, C*Ky*Kx)`` delta
+block, and adds ``w2 @ block.T`` into those columns of the ``(F, n_pos)``
+accumulator view. The image is zeroed again. At full event density this is
+the im2col GEMM of the dense pass, so there is no fallback path. A dense
+layer keeps its masked weights as one (in, out) C-order array. When at most
+``DENSE_FULL_FRACTION`` of its inputs fired it adds ``deltas @ w[fired]``,
+gathering the fired rows in blocks of about ``DENSE_BLOCK_BYTES`` so that
+each block is still in cache when its product reads it; above it, the full
+``delta_vector @ w`` over a zero vector holding the deltas, which is the
+faster of the two there. Zero deltas and masked (zero) weights
 add exact zeros on every path, so an output that no fired input reaches
 through a live weight keeps its accumulator bit for bit.
 
@@ -64,12 +69,19 @@ from .network import LayerSpec, NetworkSpec, WeightSet, im2col_indices
 from .tensorops import check_finite
 
 # A dense layer adds the full product (delta vector) @ w, zeros included,
-# once more than this fraction of its inputs fired in a step, and the
-# gathered rows deltas @ w[fired] up to it. Measured crossover, one OpenBLAS
-# thread on a 2-vCPU Xeon, gather vs full: (1024, 128) 27.6 vs 28.6 us at
-# 0.30 and 30.0 vs 25.9 us at 0.33; (3136, 512) 634 vs 662 us at 0.30 and
-# 699 vs 649 us at 0.33.
-DENSE_FULL_FRACTION = 0.3
+# once more than DENSE_FULL_FRACTION of its inputs fired in a step; up to it
+# it adds deltas @ w[fired], gathering DENSE_BLOCK_BYTES of rows at a time so
+# that each block is still in cache when its product reads it (one gather of
+# 1,220 rows of a (3136, 512) layer is 5 MB). Median us, one OpenBLAS thread
+# on a shared 2-vCPU Xeon, half-masked random weights:
+#   (3136, 512): full 501-525; at 0.40 fired one gather 650, 512 KB blocks
+#     330; blocks 505 at 0.55 and 515 at 0.60;
+#   (1024, 128): full 21-23; one 512 KB block 19.3 at 0.30, 24.8 at 0.40.
+# Blocks of 256 KB and 1 MB were no faster in the engine's step. The (1024,
+# 128) crossover is lower, but fewer than 3% of delta-desk steps fire more
+# than 30% of its inputs, and its step time did not move between 0.30 and 0.55.
+DENSE_FULL_FRACTION = 0.55
+DENSE_BLOCK_BYTES = 512 * 1024
 
 
 class OpCounter:
@@ -114,17 +126,20 @@ class _Layer:
     costs: np.ndarray       # significant multiplications per flat input event
     zero_deltas: np.ndarray  # a zero delta image (conv) or vector (dense) of the input
     full_from: float        # fired inputs above which a dense layer takes the full product
+    block_rows: int         # dense: weight rows gathered per block of DENSE_BLOCK_BYTES
     act: np.ndarray | None  # relu output buffer; None for identity
     o: np.ndarray           # flat running pre-activation, starts at the bias
     x: np.ndarray           # flat last transmitted activation, starts at zero
     # conv only: the footprint and im2col tables, the (F, C*Ky*Kx) weights,
-    # each filter's flat accumulator offset, and a mark per output position
-    # plus a spare one for unused footprint slots
+    # the (F, n_pos) view of o, a mark per output position plus a spare one
+    # for unused footprint slots, and, where events are looked up per
+    # spatial position, a mark per input position
     out_pos: np.ndarray | None = None
     cols: np.ndarray | None = None
     w2: np.ndarray | None = None
-    filter_base: np.ndarray | None = None
+    o2: np.ndarray | None = None
     mark: np.ndarray | None = None
+    seen: np.ndarray | None = None
 
 
 class DeltaNetwork:
@@ -142,7 +157,8 @@ class DeltaNetwork:
         for arr in (*weights.weights, *weights.biases):
             check_finite(arr)
         self.spec = spec
-        if not isinstance(thresholds, numbers.Real):
+        # a bool is a numbers.Real, and True would read as threshold 1.0
+        if not isinstance(thresholds, numbers.Real) or isinstance(thresholds, bool):
             raise TypeError(
                 f"threshold must be one real number, got {thresholds!r}")
         if not (math.isfinite(thresholds) and thresholds >= 0):
@@ -167,16 +183,21 @@ class DeltaNetwork:
                         o=np.empty(n_out), x=np.empty(n_out))
             conv = {}
             if layer.kind == "conv2d":
+                kernel = layer.weight_shape()[1:]
+                out_pos = _conv_footprint(kernel, in_shape, layer.stride)
+                conv = dict(out_pos=out_pos,
+                            o2=bufs["o"].reshape(layer.out_filters, -1),
+                            mark=np.zeros(n_out // layer.out_filters + 1,
+                                          dtype=bool))
+                # one lookup per spatial position pays once the channels
+                # outnumber the slots each position's row fills
+                if layer.in_channels > out_pos.shape[1]:
+                    conv["seen"] = np.zeros(n_in // layer.in_channels, dtype=bool)
                 w = weights.weights[i].copy()
                 if keep is not None:
                     w[~keep] = 0.0
-                kernel = w.shape[1:]
-                cols = _im2col_table(kernel, in_shape, layer.stride)
-                n_pos = cols.shape[1]
-                conv = dict(out_pos=_conv_footprint(kernel, in_shape, layer.stride),
-                            cols=cols, w2=w.reshape(w.shape[0], -1),
-                            filter_base=np.arange(w.shape[0])[:, None] * n_pos,
-                            mark=np.zeros(n_pos + 1, dtype=bool))
+                conv.update(cols=_im2col_table(kernel, in_shape, layer.stride),
+                            w2=w.reshape(w.shape[0], -1))
                 costs = conv_event_costs(w, in_shape, layer.stride).ravel()
             else:
                 w = np.ascontiguousarray(weights.weights[i].T)
@@ -186,6 +207,7 @@ class DeltaNetwork:
             self.layers.append(_Layer(
                 spec=layer, w=w, b=weights.biases[i].copy(),
                 costs=costs, full_from=DENSE_FULL_FRACTION * n_in,
+                block_rows=max(1, DENSE_BLOCK_BYTES // w[0].nbytes),
                 **bufs, **conv))
             in_shape = out_shape
 
@@ -204,7 +226,12 @@ class DeltaNetwork:
     def step(self, frame: np.ndarray) -> np.ndarray:
         """Process one input frame; returns the output layer's transmitted
         values (length n_output)."""
-        frame = np.asarray(frame, dtype=np.float64)
+        frame = np.asarray(frame)
+        # casting a complex frame would drop its imaginary part with only a
+        # warning
+        if frame.dtype.kind not in "iuf":
+            raise TypeError(f"frame must hold real numbers, got dtype {frame.dtype}")
+        frame = frame.astype(np.float64, copy=False)
         if frame.shape != self.spec.input_shape:
             raise ValueError(
                 f"frame shape {frame.shape} != {self.spec.input_shape}")
@@ -222,7 +249,9 @@ class DeltaNetwork:
                     o += dvec @ L.w
                     dvec[idx] = 0.0
                 else:
-                    o += deltas @ L.w[idx]
+                    n = L.block_rows
+                    for lo in range(0, idx.size, n):
+                        o += deltas[lo:lo + n] @ L.w.take(idx[lo:lo + n], axis=0)
                 ctr.significant_multiplications[k] += int(L.costs[idx].sum())
 
             if idx.size or self._first_step:
@@ -258,15 +287,26 @@ class DeltaNetwork:
                      deltas: np.ndarray) -> None:
         """Add the effect of input events (idx, deltas) to conv layer L's
         accumulator, at the output positions the events touch only."""
-        mark, dimg = L.mark, L.zero_deltas
-        pos = L.out_pos[idx]
+        mark, dimg, seen = L.mark, L.zero_deltas, L.seen
+        if seen is None:
+            pos = L.out_pos[idx]
+        else:
+            # the distinct spatial positions of the events; the footprint
+            # rows of channel 0 serve every channel
+            seen[idx % seen.size] = True
+            at = seen.nonzero()[0]
+            seen[at] = False
+            pos = L.out_pos[at]
         mark[pos] = True
         affected = mark[:-1].nonzero()[0]
         mark[pos] = False
         dimg[idx] = deltas
-        # (F, n_affected) flat accumulator indices: every filter, affected
-        # positions only
-        L.o[L.filter_base + affected] += L.w2 @ dimg[L.cols[:, affected]]
+        # the affected positions' whole im2col rows; their (F, n_affected)
+        # product adds into those columns of every filter (take then assign
+        # is the faster form of += here)
+        blk = dimg.take(L.cols.take(affected, axis=0))
+        o2 = L.o2
+        o2[:, affected] = o2.take(affected, axis=1) + L.w2 @ blk.T
         dimg[idx] = 0.0
 
     def resync(self) -> None:
@@ -276,8 +316,7 @@ class DeltaNetwork:
         prev = self.input_prev
         for L in self.layers:
             if L.spec.kind == "conv2d":  # the im2col GEMM of the dense pass
-                L.o.reshape(L.b.size, -1)[...] = \
-                    L.w2 @ prev[L.cols] + L.b[:, None]
+                L.o2[...] = L.w2 @ prev[L.cols].T + L.b[:, None]
             else:
                 L.o[...] = L.w.T @ prev + L.b
             prev = L.x
@@ -294,8 +333,8 @@ def conv_event_costs(w: np.ndarray, in_shape: tuple[int, int, int],
     in_shape = tuple(int(s) for s in in_shape)
     cols = _im2col_table(w.shape[1:], in_shape, stride)
     nnz = np.count_nonzero(w.reshape(f, -1), axis=0)
-    # each (kernel column, output position) pair reads one input position
-    costs = np.bincount(cols.ravel(), weights=np.repeat(nnz, cols.shape[1]),
+    # each (output position, kernel column) pair reads one input position
+    costs = np.bincount(cols.ravel(), weights=np.tile(nnz, cols.shape[0]),
                         minlength=int(np.prod(in_shape)))
     return costs.astype(np.int64).reshape(in_shape)
 
@@ -304,15 +343,17 @@ def conv_event_costs(w: np.ndarray, in_shape: tuple[int, int, int],
 def _im2col_table(kernel_shape: tuple[int, int, int],
                   in_shape: tuple[int, int, int],
                   stride: int) -> np.ndarray:
-    """Flat input index of every (kernel column, output position) entry of a
-    valid conv's im2col matrix: for a (C, H, W) image x that matrix is
-    x.ravel()[table], shape (C*Ky*Kx, out_h*out_w). Read-only and shared
-    between engines; intp, because numpy converts any other index dtype on
-    every gather (int32 tables cost about 7 us of a 100 us desk step)."""
+    """Flat input index of every (output position, kernel column) entry of
+    a valid conv's position-major im2col matrix: for a (C, H, W) image x
+    that matrix is x.ravel()[table], shape (out_h*out_w, C*Ky*Kx), so the
+    columns of a set of output positions are whole contiguous rows.
+    Read-only and shared between engines; intp, because numpy converts any
+    other index dtype on every gather (int32 tables cost about 7 us of a
+    100 us desk step)."""
     _, ky, kx = kernel_shape
     _, h, w = in_shape
     chans, rows, cols = im2col_indices(in_shape, ky, kx, stride)
-    table = ((chans * h + rows) * w + cols).astype(np.intp)
+    table = np.ascontiguousarray(((chans * h + rows) * w + cols).T, dtype=np.intp)
     table.flags.writeable = False
     return table
 
@@ -322,20 +363,21 @@ def _conv_footprint(kernel_shape: tuple[int, int, int],
                     in_shape: tuple[int, int, int],
                     stride: int) -> np.ndarray:
     """Output positions each input position of a valid conv feeds, the
-    inverse of _im2col_table: entry (k, p) of that table, kernel column k =
-    (c*Ky + ky)*Kx + kx read at output position p, writes p into its input's
+    inverse of _im2col_table: entry (p, k) of that table, output position p
+    reading kernel column k = (c*Ky + ky)*Kx + kx, writes p into its input's
     row at slot (ky // s) * ceil(Kx/s) + kx // s. No two outputs an input
-    feeds share a slot; unused slots hold out_h * out_w. intp, read-only
-    and shared between engines."""
+    feeds share a slot, and the row of input (c, y, x) does not depend on
+    c; unused slots hold out_h * out_w. intp, read-only and shared between
+    engines."""
     _, ky, kx = kernel_shape
     cols = _im2col_table(kernel_shape, in_shape, stride)
-    n_cols, n_out = cols.shape
+    n_out, n_cols = cols.shape
     k = np.arange(n_cols)
     slots_x = -(-kx // stride)
     slot = ((k // kx) % ky // stride) * slots_x + k % kx // stride
     table = np.full((int(np.prod(in_shape)), -(-ky // stride) * slots_x),
                     n_out, dtype=np.intp)
-    table[cols, slot[:, None]] = np.arange(n_out)
+    table[cols, slot] = np.arange(n_out)[:, None]
     table.flags.writeable = False
     return table
 

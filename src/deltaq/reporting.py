@@ -149,7 +149,7 @@ def curve_csv(records: list[RunRecord]) -> str:
 
 def records_to_json(records: list[RunRecord], meta: dict | None = None) -> str:
     payload = {"meta": meta or {}, "records": [asdict(r) for r in records]}
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _is_finite_number(v) -> bool:
@@ -174,7 +174,9 @@ def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
     non-finite number, or a value no run produces (a negative measured
     count, a static total or timestep count below 1, measured and static
     rows over different layers, or a total that is not the sum of its
-    rows)."""
+    rows), or a meta that is not an object of str keys to str, int or
+    finite float values (pipeline writes env, seed, baseline_reward_dense
+    and baseline_random; delta-eval writes checkpoint, env and seed)."""
     payload = json.loads(text)
     records = [RunRecord(**d) for d in payload["records"]]
     for i, rec in enumerate(records):
@@ -204,7 +206,13 @@ def records_from_json(text: str) -> tuple[list[RunRecord], dict]:
         if not math.isclose(rec.measured_total, measured, rel_tol=1e-12):
             raise ValueError(f"record {i}: measured_total {rec.measured_total} "
                              f"is not the sum of per_layer_measured, {measured}")
-    return records, payload.get("meta", {})
+    meta = payload.get("meta", {})
+    if not (isinstance(meta, dict) and all(
+            type(k) is str and (type(v) is str or _is_finite_number(v))
+            for k, v in meta.items())):
+        raise TypeError("meta must map str keys to str or finite numbers, "
+                        f"got {meta!r}")
+    return records, meta
 
 
 def write_report_files(out_dir: str | Path, records: list[RunRecord],

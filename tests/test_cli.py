@@ -344,6 +344,28 @@ class TestReport:
         assert not (dest / "records.json").exists()
         assert not (dest / "curve.csv").exists()
 
+    @pytest.mark.parametrize("meta", [
+        # json.loads reads NaN; the re-rendered records.json held it
+        {"baseline_reward_dense": float("nan")},
+        {"env": ["mini-breakout"]}, {"seed": None}, ["not", "an", "object"],
+    ], ids=["nan", "list-value", "null-value", "not-object"])
+    def test_bad_meta_exits_2_and_writes_nothing(
+            self, smoke_run, tmp_path, capsys, meta):
+        _, _, out = smoke_run
+        payload = json.loads((out / "records.json").read_text())
+        if isinstance(meta, dict):
+            payload["meta"].update(meta)
+        else:
+            payload["meta"] = meta
+        src = tmp_path / "meta.json"
+        src.write_text(json.dumps(payload))
+        dest = tmp_path / "m"
+        dest.mkdir()
+        assert main(["report", "--records", str(src), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:") and "meta" in err
+        assert list(dest.iterdir()) == []
+
     def test_total_not_row_sum_exits_2_and_writes_nothing(
             self, smoke_run, tmp_path, capsys):
         # rendered, it printed "Total 999" under rows that sum to more,

@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from deltaq import delta
 from deltaq.delta import (DeltaNetwork, OpCounter, conv_event_costs,
                           measure_delta_sparsity)
 from deltaq.delta import DENSE_FULL_FRACTION
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet, conv2d_single,
-                            build_scaled_dqn, forward, init_weights)
+                            build_reference_dqn, build_scaled_dqn, forward,
+                            init_weights)
 from oracles import naive_delta_run
 
 
@@ -373,6 +375,16 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="non-finite"):
             dn.step(frame)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.bool_, np.str_])
+    def test_non_real_frame_rejected(self, dtype):
+        # a complex frame was cast to float64 with only a ComplexWarning
+        spec, w = random_net(np.random.default_rng(20))
+        dn = DeltaNetwork(spec, w, thresholds=0.0)
+        frame = np.ones(spec.input_shape, dtype=dtype)
+        with pytest.raises(TypeError, match="real numbers"):
+            dn.step(frame)
+        assert dn.counter.timesteps == 0
+
     @pytest.mark.parametrize("kwargs", [
         {"thresholds": np.nan}, {"thresholds": np.inf},
     ])
@@ -382,7 +394,8 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="finite"):
             DeltaNetwork(spec, w, **kwargs)
 
-    @pytest.mark.parametrize("thresholds", [[0.0] * 5, (0.001,), np.zeros(1)])
+    @pytest.mark.parametrize("thresholds", [[0.0] * 5, (0.001,), np.zeros(1),
+                                            True])
     def test_sequence_threshold_rejected(self, thresholds):
         # one threshold gates the input and every layer
         spec, w = random_net(np.random.default_rng(21))
@@ -402,7 +415,10 @@ def dense(n_in, n_out, activation="relu"):
 
 # conv geometries beyond build_scaled_dqn: several conv layers, strides
 # 2, 3 and 4, non-square kernels, a stride larger than its kernel (some
-# inputs feed nothing) and identity activations between relu layers
+# inputs feed nothing) and identity activations between relu layers. A conv
+# whose in_channels exceed its ceil(Ky/s)*ceil(Kx/s) footprint slots looks
+# its events up per spatial position, the others per event; every spec but
+# 2conv-s4-nonsquare has one of each kind
 SWEEP_SPECS = {
     "3conv-s2-nonsquare": NetworkSpec(
         layers=(conv(2, 3, 4, 3, 2), conv(3, 4, 2, 3, 1, "identity"),
@@ -416,14 +432,27 @@ SWEEP_SPECS = {
         layers=(conv(2, 3, 2, 3, 3), conv(3, 2, 3, 1, 1, "identity"),
                 dense(6, 3, "identity")),
         input_shape=(2, 10, 10), n_output=3),
+    # both convs have more channels than slots (5 > 4, then 6 > 1), and its
+    # stream changes every input channel at the positions it touches
+    "2conv-channels-over-slots": NetworkSpec(
+        layers=(conv(5, 6, 3, 3, 2), conv(6, 3, 2, 2, 2), dense(12, 4),
+                dense(4, 2, "identity")),
+        input_shape=(5, 11, 9), n_output=2),
 }
+WHOLE_COLUMN_STREAMS = {"2conv-channels-over-slots"}
 
 
-def sweep_stream(rng, shape, n_frames=7):
+def sweep_stream(rng, shape, n_frames=7, whole_columns=False):
+    """A random first frame, then frames that each change 0-7 random
+    entries or, with whole_columns, every channel at 0-3 random (y, x)."""
     frames = []
     frame = rng.normal(size=shape)
     for _ in range(n_frames):
-        pos = rng.integers(0, frame.size, size=int(rng.integers(0, 8)))
+        if whole_columns:
+            at = rng.integers(0, shape[1] * shape[2], size=int(rng.integers(0, 4)))
+            pos = (np.arange(shape[0])[:, None] * shape[1] * shape[2] + at).ravel()
+        else:
+            pos = rng.integers(0, frame.size, size=int(rng.integers(0, 8)))
         frame.ravel()[pos] = rng.normal(size=pos.size)
         frames.append(frame.copy())
     return frames
@@ -440,7 +469,8 @@ class TestGeometrySweep:
             for b in w.biases:
                 b[:] = rng.normal(size=b.shape) * 0.1
             masks = random_masks(spec, rng, density=0.6)
-            frames = sweep_stream(rng, spec.input_shape)
+            frames = sweep_stream(rng, spec.input_shape,
+                                  whole_columns=name in WHOLE_COLUMN_STREAMS)
             dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
             outs = [dn.step(f) for f in frames]
             ref = naive_delta_run(spec, w, masks, t_val, None, frames)
@@ -460,7 +490,8 @@ class TestGeometrySweep:
         w = init_weights(spec, rng)
         masks = random_masks(spec, rng)
         dn = DeltaNetwork(spec, w, thresholds=0.0, masks=masks)
-        for f in sweep_stream(rng, spec.input_shape, n_frames=30):
+        for f in sweep_stream(rng, spec.input_shape, n_frames=30,
+                              whole_columns=name in WHOLE_COLUMN_STREAMS):
             np.testing.assert_allclose(
                 dn.step(f), masked_forward(spec, w, masks, f), atol=1e-9)
 
@@ -530,8 +561,8 @@ def fired_per_step(dn, frames, k):
 
 
 class TestDensePathChoice:
-    # Dense-1 sees 2-4 of its 40 inputs fire on some steps (row gather) and
-    # 20-36 on others (full product over the zero delta vector)
+    # Dense-1 sees 2-20 of its 40 inputs fire on some steps (row gather) and
+    # 25-36 on others (full product over the zero delta vector)
     SPEC = NetworkSpec(layers=(dense(40, 12), dense(12, 3, "identity")),
                        input_shape=(1, 1, 40), n_output=3)
 
@@ -545,6 +576,17 @@ class TestDensePathChoice:
 
     @pytest.mark.parametrize("t_val", [0.0, 0.05])
     def test_both_paths_match_per_event_oracle(self, t_val):
+        self.check_against_oracle(t_val)
+
+    @pytest.mark.parametrize("t_val", [0.0, 0.05])
+    def test_multi_block_gathers_match_per_event_oracle(self, t_val,
+                                                         monkeypatch):
+        # two weight rows per block: a gather of 6 or more fired rows spans
+        # at least 3 blocks
+        monkeypatch.setattr(delta, "DENSE_BLOCK_BYTES", 2 * 12 * 8)
+        self.check_against_oracle(t_val, block_rows=2)
+
+    def check_against_oracle(self, t_val, block_rows=None):
         spec = self.SPEC
         rng = np.random.default_rng(25)
         for trial in range(3):
@@ -554,9 +596,14 @@ class TestDensePathChoice:
             masks = random_masks(spec, rng, density=0.6)
             frames = [rng.normal(size=spec.input_shape)] + self.stream(rng)
             dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
-            fractions = [n / 40 for n in fired_per_step(dn, frames, 0)[1:]]
+            fired = fired_per_step(dn, frames, 0)[1:]
+            fractions = [n / 40 for n in fired]
             assert any(0 < f <= DENSE_FULL_FRACTION for f in fractions)
             assert any(f > DENSE_FULL_FRACTION for f in fractions)
+            if block_rows is not None:
+                assert dn.layers[0].block_rows == block_rows
+                assert any(3 * block_rows <= n <= DENSE_FULL_FRACTION * 40
+                           for n in fired)
             ref = naive_delta_run(spec, w, masks, t_val, None, frames)
             ctr = dn.counter
             assert ctr.significant_multiplications[0] == 0
@@ -599,3 +646,32 @@ class TestMaskedFilterStaysSilent:
         assert dn.counter.events_sent.tolist() == ref.events_sent
         for got, want in zip(outs, ref.outputs):
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+class TestReferenceGeometry:
+    def test_t0_matches_masked_dense_forward(self):
+        # the reference DQN on 10x10 frames upscaled in 8x8 blocks: Conv2d-2
+        # and Conv2d-3 look events up per spatial position, Conv2d-1 per
+        # event, and Dense-1 gathers its fired rows in several blocks
+        spec = build_reference_dqn(4)
+        rng = np.random.default_rng(27)
+        w = init_weights(spec, rng)
+        masks = [rng.random(l.weight_shape()) < 0.6 if l.kind == "conv2d"
+                 else np.ones(l.weight_shape(), dtype=bool) for l in spec.layers]
+        small = rng.random((4, 10, 10))
+        frames = []
+        for _ in range(4):
+            pos = rng.choice(small.size, size=6, replace=False)
+            small.ravel()[pos] = rng.random(6)
+            frames.append(np.pad(np.kron(small, np.ones((8, 8))),
+                                 ((0, 0), (2, 2), (2, 2))))
+        dn = DeltaNetwork(spec, w, thresholds=0.0, masks=masks)
+        assert [L.seen is not None for L in dn.layers[:3]] == [False, True, True]
+        fired = []
+        for f in frames:
+            before = int(dn.counter.events_sent[3])
+            np.testing.assert_allclose(
+                dn.step(f), masked_forward(spec, w, masks, f), atol=1e-9)
+            fired.append(int(dn.counter.events_sent[3]) - before)
+        dense1 = dn.layers[3]
+        assert any(dense1.block_rows < n <= dense1.full_from for n in fired[1:])
