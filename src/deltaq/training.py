@@ -8,10 +8,13 @@ same evaluation seed. `lottery_pipeline` applies it to every retrained
 network and `deltaq delta-eval` to a checkpoint.
 
 The public network forward pass is single-state; training uses its own
-batched forward/backward, which reads conv columns through a sliding-window
-view and adds column gradients back through the same windows. The
-double-Q target builds the first conv layer's columns of s' once for both
-the online and the target network.
+batched forward/backward. It reads conv columns with one gather through
+the delta engine's cached im2col table (`delta._im2col_table`), so both
+share one im2col index source, and adds column gradients back at the same
+input positions. Each conv layer's weight gradient and column gradient is
+one BLAS matrix product over the batch and the output positions together.
+The double-Q target builds the first conv layer's columns of s' once for
+both the online and the target network.
 
 `train` only trains: it plays no evaluation episodes, and its result is
 the last loss and the number of gradient steps. It keeps the online
@@ -20,21 +23,26 @@ each as one contiguous float64 vector (weights of every layer, then
 biases), with per-layer `WeightSet` views over it: the backward pass
 writes into the gradient views, target sync is one copy, gradient masking
 and the re-zeroing of masked weights are one indexed assignment each, and
-`Adam.step` updates the whole vector in place in cache-sized chunks.
-Masked weights receive no gradient and are re-zeroed after every optimizer
-step, so they stay exactly zero throughout training. The trained values
-are copied back into the caller's own arrays at the end.
+`Adam.step` updates the whole vector in place in cache-sized chunks, in
+the efficient form of Kingma & Ba (one division per element). Masked
+weights receive no gradient and are re-zeroed after every optimizer step,
+so they stay exactly zero throughout training. The target network is
+frozen between syncs, so `train` keeps its Q values per replay slot in a
+`TargetCache` and runs the target forward only on the batch's distinct
+slots that were written or synced since they were last computed. The
+trained values are copied back into the caller's own arrays at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import TrainingConfig
-from .delta import DeltaNetwork, OpCounter
+from .delta import DeltaNetwork, OpCounter, _im2col_table
 from .envs import Environment, random_policy_reward
 from .network import NetworkSpec, WeightSet, forward, init_weights
 from .pruning import (PrunableWeights, SparsityReport, prune_step,
@@ -56,13 +64,16 @@ class Batch:
     rewards: np.ndarray      # (B,) float64
     next_states: np.ndarray  # (B, ...) float64
     dones: np.ndarray        # (B,) bool
+    slots: np.ndarray | None = None  # (B,) buffer slot of each transition
 
 
 class ReplayBuffer:
     """Bounded FIFO of transitions with uniform sampling.
 
-    States are held as float32 (exact for the binary grid observations) and
-    returned as float64 batches.
+    States are held as float32 and returned as float64 batches. `add`
+    rejects a state of the wrong shape, or one that float32 does not hold
+    exactly (NaN, infinity, out of range or finer than float32), before it
+    writes anything; the binary grid observations are held exactly.
     """
 
     def __init__(self, capacity: int, state_shape: tuple[int, ...]):
@@ -81,11 +92,28 @@ class ReplayBuffer:
             done: bool) -> None:
         if not np.isfinite(r):
             raise ValueError("non-finite reward")
-        i = self.pos
-        self.s[i] = s
+        s, s_next = np.asarray(s), np.asarray(s_next)
+        for name, x in (("state", s), ("next state", s_next)):
+            if x.shape != self.s.shape[1:]:
+                raise ValueError(f"{name} shape {x.shape} != {self.s.shape[1:]}")
+        # A round trip through float32 gives back exactly what float32
+        # holds; NaN, infinity and values that round, underflow or overflow
+        # leave a nonzero or NaN difference (infinity and overflow also
+        # raise numpy's RuntimeWarning on the way). Both states go through
+        # it as one array: at about 3 us per small array operation between
+        # gradient steps, every operation per transition costs about 0.3%
+        # of a training.
+        both = np.concatenate((s, s_next))
+        held = both.astype(np.float32)
+        if np.count_nonzero(held - both):
+            raise ValueError("state or next state holds values float32 "
+                             "cannot hold exactly (non-finite, out of range "
+                             "or finer than float32)")
+        i, n = self.pos, len(s)
+        self.s[i] = held[:n]
         self.a[i] = a
         self.r[i] = r
-        self.s_next[i] = s_next
+        self.s_next[i] = held[n:]
         self.done[i] = done
         self.pos = (self.pos + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -100,6 +128,7 @@ class ReplayBuffer:
             rewards=self.r[idx].copy(),
             next_states=self.s_next[idx].astype(np.float64),
             dones=self.done[idx].copy(),
+            slots=idx,
         )
 
 
@@ -107,15 +136,25 @@ class ReplayBuffer:
 # batched forward / backward
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _im2col_columns(kernel_shape: tuple[int, int, int],
+                    in_shape: tuple[int, int, int], stride: int) -> np.ndarray:
+    """The delta engine's position-major im2col table (`_im2col_table`)
+    transposed to (C*Ky*Kx, out_h*out_w): the flat input index of each
+    entry of a valid conv's im2col matrix in the layout `forward_batch`
+    multiplies. A C-contiguous, read-only copy, cached per geometry;
+    gathering through it is faster than through the transposed view."""
+    table = np.ascontiguousarray(_im2col_table(kernel_shape, in_shape, stride).T)
+    table.flags.writeable = False
+    return table
+
+
 def _im2col_batch(x: np.ndarray, ky: int, kx: int, stride: int) -> np.ndarray:
     """(B, C, H, W) -> (B, C*ky*kx, out_h*out_w) columns, row index ordered
-    as (channel, kernel_y, kernel_x)."""
-    b, c = x.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(x, (ky, kx), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # (B, C, OH, OW, ky, kx)
-    oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * ky * kx, oh * ow)
-    return np.ascontiguousarray(cols)
+    as (channel, kernel_y, kernel_x): one gather through `_im2col_columns`."""
+    b, c, h, w = x.shape
+    table = _im2col_columns((c, ky, kx), (c, h, w), stride)
+    return x.reshape(b, -1).take(table, axis=1)
 
 
 def forward_batch(spec: NetworkSpec, w: WeightSet, x: np.ndarray,
@@ -182,12 +221,15 @@ def backward_batch(spec: NetworkSpec, w: WeightSet, caches, d_out: np.ndarray,
         else:
             f = layer.out_filters
             gm = g.reshape(g.shape[0], f, -1)                  # (B, F, P)
-            np.einsum("bfp,bkp->fk", gm, mat, out=gw[i].reshape(f, -1))
+            # both products as stacked matmuls, one BLAS GEMM per sample;
+            # the weight gradient sums the (B, F, CKK) per-sample products
+            np.matmul(gm, mat.transpose(0, 2, 1)).sum(
+                axis=0, out=gw[i].reshape(f, -1))
             gm.sum(axis=(0, 2), out=gb[i])
             if i > 0:
-                dcols = np.einsum("fk,bfp->bkp", w.weights[i].reshape(f, -1), gm)
-                # col2im: add the columns back through the windows
-                # _im2col_batch reads, one kernel offset at a time
+                dcols = np.matmul(w.weights[i].reshape(f, -1).T, gm)  # (B, CKK, P)
+                # col2im: add the columns back at the input positions
+                # _im2col_batch reads them from, one kernel offset at a time
                 ky, kx, s = layer.kernel_y, layer.kernel_x, layer.stride
                 oh, ow = pre.shape[2:]
                 d = dcols.reshape(*x_in.shape[:2], ky, kx, oh, ow)
@@ -227,23 +269,31 @@ def q_loss_and_grads(spec: NetworkSpec, w: WeightSet, states: np.ndarray,
 # Elements per Adam chunk. Parameters, gradient and both moments of the
 # desk-scale network (about 132k float64 each) are over 4 MB together, more
 # than a core's 2 MB L2, so one pass per operation over whole vectors
-# streams them through memory 14 times. Adam per gradient step in 1000-step
+# streams them through memory 12 times. Adam per gradient step in 1000-step
 # trainings with the benchmark's pipeline config (2-vCPU shared Xeon, 1 BLAS
-# thread, medians of 6): per-array update 1.37 ms, one flat unchunked
-# vector 1.17 ms, chunks of 4k 1.42 ms, 8k 1.11 ms, 16k 1.03 ms, 32k
-# 0.95 ms, 64k 1.04 ms; 16k against 32k over 12 more trainings each, 1.05
-# against 1.03 ms, so the smaller scratch is kept.
+# thread), first for the earlier 14-pass form (medians of 6): per-array
+# update 1.37 ms, one flat unchunked vector 1.17 ms, chunks of 4k 1.42 ms,
+# 8k 1.11 ms, 16k 1.03 ms, 32k 0.95 ms, 64k 1.04 ms; 16k against 32k over
+# 12 more trainings each, 1.05 against 1.03 ms. Re-measured for the 12-pass
+# form, 16k against 32k over 12 alternating trainings each: 1.045 against
+# 1.035 ms (quartile spreads 0.081 and 0.060 ms), again a tie, so the
+# smaller scratch is kept.
 ADAM_CHUNK = 16384
 
 
 class Adam:
     """Adaptive-moment optimizer updating one flat float64 vector in place.
 
-    The update runs over fixed chunks of `ADAM_CHUNK` elements with two
-    preallocated scratch chunks; each element goes through the same
-    operations in the same order as the textbook per-array form
-    `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so results are bit for
-    bit the same.
+    It computes the efficient form of Kingma & Ba (ICLR 2015, section 2):
+    with bc1 = 1 - beta1^t and bc2 = 1 - beta2^t, the step size is
+    lr_t = lr * sqrt(bc2) / bc1 and the update
+    `p -= lr_t * m / (sqrt(v) + eps * sqrt(bc2))`, equal in real arithmetic
+    to the textbook `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)` with one
+    division per element instead of three. The update runs over fixed
+    chunks of `ADAM_CHUNK` elements with two preallocated scratch chunks;
+    each element goes through the same operations in the same order as
+    that per-array expression, so results are bit for bit the same. A zero
+    gradient on a zero weight with zero moments leaves it exactly zero.
     """
 
     def __init__(self, params: np.ndarray, lr: float,
@@ -260,9 +310,10 @@ class Adam:
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        b1, b2 = self.b1, self.b2
+        root_bc2 = math.sqrt(1.0 - b2 ** self.t)
+        lr_t = self.lr * root_bc2 / (1.0 - b1 ** self.t)
+        eps_hat = self.eps * root_bc2
         for lo in range(0, self.params.size, ADAM_CHUNK):
             p = self.params[lo:lo + ADAM_CHUNK]
             g = grad[lo:lo + ADAM_CHUNK]
@@ -276,11 +327,9 @@ class Adam:
             np.multiply(g, 1.0 - b2, out=a)
             a *= g
             v += a
-            np.divide(m, bc1, out=a)
-            a *= lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
+            np.multiply(m, lr_t, out=a)
+            np.sqrt(v, out=b)
+            b += eps_hat
             a /= b
             p -= a
 
@@ -289,18 +338,55 @@ class Adam:
 # double Q-learning
 # ---------------------------------------------------------------------------
 
+class TargetCache:
+    """Target-network Q values of each replay slot's next state.
+
+    The target network is frozen between syncs (van Hasselt et al., AAAI
+    2016), so Q_target(s') of a stored transition stays the same until its
+    slot is rewritten or the target syncs. `fresh[i]` says that row i of
+    `q` holds it; `train` clears the flag of every slot it writes and all
+    flags at each sync."""
+
+    def __init__(self, capacity: int, n_actions: int):
+        self.q = np.empty((capacity, n_actions))
+        self.fresh = np.zeros(capacity, dtype=bool)
+
+    def lookup(self, batch: Batch, spec: NetworkSpec, target: WeightSet,
+               first_cols: np.ndarray | None) -> np.ndarray:
+        """(B, n_actions) target values of the batch's next states, running
+        the target forward once per distinct stale slot and caching it."""
+        stale = np.flatnonzero(~self.fresh[batch.slots])
+        if stale.size:
+            slots, first = np.unique(batch.slots[stale], return_index=True)
+            rows = stale[first]
+            cols = None if first_cols is None else first_cols[rows]
+            self.q[slots] = forward_batch(spec, target, batch.next_states[rows],
+                                          first_cols=cols)
+            self.fresh[slots] = True
+        return self.q[batch.slots]
+
+
 def double_q_target(batch: Batch, spec: NetworkSpec, online: WeightSet,
-                    target: WeightSet, gamma: float) -> np.ndarray:
+                    target: WeightSet, gamma: float,
+                    cache: TargetCache | None = None) -> np.ndarray:
     """y = r + gamma * Q_target(s', argmax_a Q_online(s', a)); terminal
-    transitions use y = r. Action selection and valuation are decoupled."""
+    transitions use y = r. Action selection and valuation are decoupled.
+
+    With a `cache` (and `batch.slots`), Q_target(s') is read from it and
+    computed only for stale slots; without one, the target forward runs
+    over the whole batch, which is the reference the cache must match."""
     first = spec.layers[0]
     cols = None
     if first.kind == "conv2d":  # one im2col of s' serves both networks
         cols = _im2col_batch(batch.next_states, first.kernel_y,
                              first.kernel_x, first.stride)
     q_online = forward_batch(spec, online, batch.next_states, first_cols=cols)
+    if cache is None:
+        q_target = forward_batch(spec, target, batch.next_states,
+                                 first_cols=cols)
+    else:
+        q_target = cache.lookup(batch, spec, target, cols)
     best = np.argmax(q_online, axis=1)
-    q_target = forward_batch(spec, target, batch.next_states, first_cols=cols)
     bootstrap = q_target[np.arange(len(best)), best]
     return batch.rewards + gamma * np.where(batch.dones, 0.0, bootstrap)
 
@@ -362,6 +448,7 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
     opt = Adam(theta, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
                beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     buffer = ReplayBuffer(cfg.buffer_capacity, env.state_shape)
+    cache = TargetCache(cfg.buffer_capacity, env.n_actions)
     result = TrainResult()
 
     try:
@@ -378,13 +465,15 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
                         f"non-finite network output at step {step} "
                         f"(lr={cfg.learning_rate}): {e}") from e
             s_next, r, done = env.step(action)
+            cache.fresh[buffer.pos] = False  # the slot add writes
             buffer.add(state, action, r, s_next, done)
             state = env.reset() if done else s_next
 
             if buffer.size >= max(cfg.min_buffer, cfg.batch_size) and \
                     step % cfg.update_every == 0:
                 batch = buffer.sample(cfg.batch_size, rng)
-                y = double_q_target(batch, spec, online, target, cfg.gamma)
+                y = double_q_target(batch, spec, online, target, cfg.gamma,
+                                    cache)
                 loss, _, _ = q_loss_and_grads(
                     spec, online, batch.states, batch.actions, y,
                     delta=cfg.huber_delta, grads=grads)
@@ -400,6 +489,7 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
 
             if (step + 1) % cfg.target_sync == 0:
                 np.copyto(theta_target, theta)
+                cache.fresh[:] = False
     finally:
         for dst, src in zip(live, online.weights + online.biases):
             np.copyto(dst, src)

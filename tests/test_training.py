@@ -5,11 +5,14 @@ from deltaq.checkpoint import load_checkpoint, save_prunable
 from deltaq.config import TrainingConfig
 from deltaq.envs import make_env
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
-                            build_scaled_dqn, forward, init_weights)
+                            build_reference_dqn, build_scaled_dqn, forward,
+                            init_weights)
 from deltaq.pruning import PrunableWeights, prune_step, rewind
+from deltaq import training
 from deltaq.training import (ADAM_CHUNK, Adam, Batch,
-                             ReplayBuffer, TrainingDiverged, double_q_target,
-                             _flat_views, evaluate, forward_batch, huber,
+                             ReplayBuffer, TargetCache, TrainingDiverged,
+                             double_q_target, _flat_views, _im2col_batch,
+                             backward_batch, evaluate, forward_batch, huber,
                              q_loss_and_grads, train)
 
 
@@ -47,6 +50,62 @@ def constant_q_nets(q_online, q_target):
     online = WeightSet([np.zeros((n, 1))], [np.array(q_online, dtype=float)])
     target = WeightSet([np.zeros((n, 1))], [np.array(q_target, dtype=float)])
     return spec, online, target
+
+
+def im2col_sliding_window(x, ky, kx, stride):
+    """The earlier sliding-window im2col, kept as the reference for
+    `_im2col_batch`."""
+    b, c = x.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(x, (ky, kx), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]          # (B, C, OH, OW, ky, kx)
+    oh, ow = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * ky * kx, oh * ow)
+    return np.ascontiguousarray(cols)
+
+
+def backward_einsum(spec, w, caches, d_out):
+    """The earlier backward pass, whose conv products are einsums, kept as
+    the reference for `backward_batch`'s BLAS products."""
+    n = len(spec.layers)
+    gw, gb = [None] * n, [None] * n
+    g = d_out
+    for i in range(n - 1, -1, -1):
+        layer = spec.layers[i]
+        x_in, mat, pre = caches[i]
+        g = g.reshape(pre.shape)
+        if layer.activation == "relu":
+            g = g * (pre > 0)
+        if layer.kind == "dense":
+            gw[i], gb[i] = g.T @ mat, g.sum(axis=0)
+            g = (g @ w.weights[i]).reshape(x_in.shape)
+            continue
+        f = layer.out_filters
+        gm = g.reshape(g.shape[0], f, -1)
+        gw[i] = np.einsum("bfp,bkp->fk", gm, mat).reshape(w.weights[i].shape)
+        gb[i] = gm.sum(axis=(0, 2))
+        dcols = np.einsum("fk,bfp->bkp", w.weights[i].reshape(f, -1), gm)
+        ky, kx, s = layer.kernel_y, layer.kernel_x, layer.stride
+        oh, ow = pre.shape[2:]
+        d = dcols.reshape(*x_in.shape[:2], ky, kx, oh, ow)
+        g = np.zeros_like(x_in)
+        for y in range(ky):
+            for z in range(kx):
+                g[:, :, y:y + s * oh:s, z:z + s * ow:s] += d[:, :, y, z]
+    return gw, gb
+
+
+def three_conv_spec():
+    """The reference network's conv strides and kernels on a small input."""
+    return NetworkSpec(
+        layers=(LayerSpec("conv2d", in_channels=4, out_filters=6, kernel_x=8,
+                          kernel_y=8, stride=4),
+                LayerSpec("conv2d", in_channels=6, out_filters=5, kernel_x=4,
+                          kernel_y=4, stride=2),
+                LayerSpec("conv2d", in_channels=5, out_filters=4, kernel_x=3,
+                          kernel_y=3, stride=1),
+                LayerSpec("dense", in_size=4, out_size=3,
+                          activation="identity")),
+        input_shape=(4, 36, 36), n_output=3)
 
 
 class TestReplayBuffer:
@@ -110,6 +169,42 @@ class TestReplayBuffer:
             buf.add(np.zeros((1, 1, 1)), 0, float("nan"), np.zeros((1, 1, 1)),
                     False)
 
+    @pytest.mark.parametrize("s, s_next", [
+        (np.zeros((10, 10)), np.zeros((4, 10, 10))),        # broadcasts
+        (np.zeros((4, 10, 10)), np.zeros(10)),              # broadcasts
+        (np.zeros((4, 10, 11)), np.zeros((4, 10, 10))),
+        (np.full((4, 10, 10), np.nan), np.zeros((4, 10, 10))),
+        (np.zeros((4, 10, 10)), np.full((4, 10, 10), np.inf)),
+        (np.full((4, 10, 10), 1e300), np.zeros((4, 10, 10))),  # -> inf
+        (np.zeros((4, 10, 10)), np.full((4, 10, 10), 0.1)),    # rounds
+        (np.full((4, 10, 10), 2.0 ** -160), np.zeros((4, 10, 10))),  # -> 0
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_rejects_states_it_cannot_hold(self, s, s_next):
+        buf = ReplayBuffer(3, (4, 10, 10))
+        buf.add(np.ones((4, 10, 10)), 1, 1.0, np.ones((4, 10, 10)), False)
+        before = [a.copy() for a in (buf.s, buf.a, buf.r, buf.s_next, buf.done)]
+        with pytest.raises(ValueError, match="state"):
+            buf.add(s, 0, 0.0, s_next, True)
+        assert (buf.size, buf.pos) == (1, 1)
+        after = (buf.s, buf.a, buf.r, buf.s_next, buf.done)
+        for a, b in zip(before, after):  # no slot was written
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["mini-breakout", "mini-invaders"])
+    def test_holds_both_games_states_exactly(self, name):
+        env = make_env(name, seed=2, max_steps=50)
+        buf = ReplayBuffer(300, env.state_shape)
+        rng = np.random.default_rng(2)
+        state, kept = env.reset(), []
+        for _ in range(300):
+            s_next, r, done = env.step(int(rng.integers(env.n_actions)))
+            buf.add(state, 0, r, s_next, done)
+            kept.append((state, s_next))
+            state = env.reset() if done else s_next
+        for i, (s, s2) in enumerate(kept):
+            assert np.array_equal(buf.s[i], s) and np.array_equal(buf.s_next[i], s2)
+
 
 class TestDoubleQTarget:
     def test_terminal_ignores_networks(self):
@@ -151,6 +246,85 @@ class TestDoubleQTarget:
                 qt = forward(spec, target, batch.next_states[i])
                 expect = batch.rewards[i] + 0.95 * qt[int(np.argmax(qo))]
             assert y[i] == pytest.approx(expect, abs=1e-12)
+
+
+class TestTargetCache:
+    def test_lookup_tracks_overwrites_and_syncs(self):
+        rng = np.random.default_rng(11)
+        spec = tiny_spec()
+        online, target = init_weights(spec, rng), init_weights(spec, rng)
+        buf = ReplayBuffer(6, (2, 4, 4))
+        cache = TargetCache(6, 2)
+
+        def add():
+            cache.fresh[buf.pos] = False
+            buf.add(rng.normal(size=(2, 4, 4)).astype(np.float32), 0, 1.0,
+                    rng.normal(size=(2, 4, 4)).astype(np.float32), False)
+
+        def check(slots):
+            slots = np.array(slots)
+            batch = Batch(states=buf.s[slots].astype(np.float64),
+                          actions=buf.a[slots], rewards=buf.r[slots],
+                          next_states=buf.s_next[slots].astype(np.float64),
+                          dones=buf.done[slots], slots=slots)
+            ref = double_q_target(batch, spec, online, target, 0.9)
+            y = double_q_target(batch, spec, online, target, 0.9, cache)
+            np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                cache.q[slots], forward_batch(spec, target, batch.next_states),
+                rtol=0, atol=1e-12)
+            assert cache.fresh[slots].all()
+
+        for _ in range(6):
+            add()
+        check([1, 3, 3, 5, 0])
+        assert cache.fresh.sum() == 4
+        add()                                # overwrites slot 0
+        assert not cache.fresh[0]
+        check([0, 0, 1, 2, 3, 4, 5, 0])
+        target = init_weights(spec, rng)    # a sync to new weights
+        cache.fresh[:] = False
+        check([2, 5, 0, 2])
+
+    def test_train_uses_uncached_values(self, monkeypatch):
+        # buffer smaller than the run, frequent syncs: slots are rewritten
+        # and the cache is emptied many times
+        env = make_env("mini-breakout", seed=5, max_steps=60)
+        spec = build_scaled_dqn(env.state_shape, env.n_actions,
+                                conv_filters=4, dense_hidden=16)
+        original = training.double_q_target
+        seen = {"calls": 0, "after_sync": 0, "computed": 0, "lookups": 0}
+
+        def checked(batch, spec, online, target, gamma, cache=None):
+            assert cache is not None
+            seen["calls"] += 1
+            seen["after_sync"] += not cache.fresh.any()
+            seen["lookups"] += len(batch.slots)
+            seen["computed"] += len(np.unique(batch.slots[~cache.fresh[batch.slots]]))
+            y = original(batch, spec, online, target, gamma, cache)
+            ref_q = forward_batch(spec, target, batch.next_states)
+            np.testing.assert_allclose(cache.q[batch.slots], ref_q,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                y, original(batch, spec, online, target, gamma),
+                rtol=0, atol=1e-12)
+            return y
+
+        monkeypatch.setattr(training, "double_q_target", checked)
+        runs = []
+        for _ in range(2):
+            rng = np.random.default_rng(5)
+            p = PrunableWeights.create(spec, init_weights(spec, rng), rate=0.3)
+            cfg = TrainingConfig(steps=600, min_buffer=64, batch_size=16,
+                                 buffer_capacity=150, epsilon_decay_steps=300,
+                                 target_sync=40, update_every=1)
+            train(env.fork(5), spec, p, cfg, rng)
+            runs.append(p.live.weights + p.live.biases)
+        assert seen["calls"] == 2 * (600 - 63)
+        assert seen["after_sync"] >= 2 * 13
+        assert 0 < seen["computed"] < seen["lookups"]
+        for a, b in zip(*runs):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestGradients:
@@ -239,6 +413,43 @@ class TestGradients:
         with pytest.raises(ValueError, match="C-contiguous"):
             q_loss_and_grads(spec, w, states, actions, targets, grads=strided)
 
+    @pytest.mark.parametrize("shape, ky, kx, stride", [
+        ((3, 4, 10, 10), 3, 3, 1),     # desk conv
+        ((2, 2, 9, 9), 3, 3, 2),
+        ((2, 3, 9, 9), 2, 3, 1),       # non-square kernel
+        ((2, 3, 11, 10), 3, 2, 3),
+        ((2, 2, 13, 12), 5, 4, 4),
+        ((2, 1, 7, 7), 1, 1, 1),
+        ((2, 4, 84, 84), 8, 8, 4),     # reference Conv2d-1
+        ((2, 32, 20, 20), 4, 4, 2),    # reference Conv2d-2
+    ])
+    def test_im2col_matches_sliding_window(self, shape, ky, kx, stride):
+        x = np.random.default_rng(4).normal(size=shape)
+        cols = _im2col_batch(x, ky, kx, stride)
+        ref = im2col_sliding_window(x, ky, kx, stride)
+        assert cols.shape == ref.shape and cols.flags.c_contiguous
+        assert np.array_equal(cols.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("make_spec", [
+        tiny_spec, two_conv_spec, three_conv_spec,
+        lambda: build_scaled_dqn((4, 10, 10), 3),
+        lambda: build_reference_dqn(4),
+    ])
+    def test_blas_conv_products_match_einsum(self, make_spec):
+        # multi-conv nets route the layer-0 gradients through dcols
+        rng = np.random.default_rng(6)
+        spec = make_spec()
+        w = init_weights(spec, rng)
+        b = 3
+        states = rng.normal(size=(b, *spec.input_shape))
+        q, caches = forward_batch(spec, w, states, want_caches=True)
+        d_q = rng.normal(size=q.shape)
+        gw, gb = backward_batch(spec, w, caches, d_q)
+        rw, rb = backward_einsum(spec, w, caches, d_q)
+        for got, ref in zip(gw + gb, rw + rb):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_batch_forward_matches_single(self):
         rng = np.random.default_rng(5)
         spec = build_scaled_dqn((3, 8, 8), 4, conv_filters=6)
@@ -251,7 +462,23 @@ class TestGradients:
 
 
 def adam_per_array(params, grads_per_step, lr, b1, b2, eps):
-    """The textbook per-array update, as separate arrays."""
+    """The per-array update in Kingma & Ba's efficient form, as separate
+    arrays."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        root_bc2 = np.sqrt(1.0 - b2 ** t)
+        lr_t = lr * root_bc2 / (1.0 - b1 ** t)
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            p -= lr_t * mi / (np.sqrt(vi) + eps * root_bc2)
+
+
+def adam_textbook(params, grads_per_step, lr, b1, b2, eps):
+    """The textbook per-array update, with bias-corrected moments."""
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t, grads in enumerate(grads_per_step, start=1):
@@ -292,6 +519,34 @@ class TestAdam:
         assert np.array_equal(flat.view(np.int64), ref.view(np.int64))
         assert np.all(flat[masked] == 0.0)
         assert opt.t == 50
+
+    def test_efficient_form_matches_textbook(self):
+        # the same 50 steps as above, against the three-division form
+        rng = np.random.default_rng(8)
+        sizes = [ADAM_CHUNK + 123, 2 * ADAM_CHUNK - 7, 5, 1000]
+        n = sum(sizes)
+        masked = rng.random(n) < 0.3
+        start = rng.normal(size=n)
+        start[masked] = 0.0
+        steps = []
+        for _ in range(50):
+            g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=n)
+            g[masked] = 0.0
+            steps.append(g)
+
+        flat = start.copy()
+        opt = Adam(flat, lr=3e-3, beta1=0.8, beta2=0.995, eps=1e-7)
+        for g in steps:
+            opt.step(g)
+
+        cuts = np.cumsum(sizes)[:-1]
+        ref = np.split(start.copy(), cuts)
+        adam_textbook(ref, [np.split(g, cuts) for g in steps],
+                      lr=3e-3, b1=0.8, b2=0.995, eps=1e-7)
+        ref = np.concatenate(ref)
+        assert not np.array_equal(flat, start)
+        np.testing.assert_allclose(flat, ref, rtol=0, atol=1e-12)
+        assert np.all(flat[masked] == 0.0) and np.all(ref[masked] == 0.0)
 
     def test_rejects_non_flat_params(self):
         with pytest.raises(ValueError, match="flat vector"):
