@@ -5,9 +5,12 @@ Each key is stated once: a dataclass field holds its type and default, and
 a SCHEMA row its section, name and value rule. DEFAULTS (materialised into
 each run directory, so runs are self-describing), the unknown-key check and
 every per-key parse and range check derive from the two; the cross-key
-rules (buffer capacity against warm-up and batch, network against the
-environment's frames, pruning scope against the network's layers) follow
-once every key is valid. Validation collects every problem before raising.
+rules (buffer capacity against warm-up and batch, pruning scope against the
+network's layers) follow once every key is valid. Validation collects every
+problem before raising.
+
+The Huber delta and Adam's settings (`training`) and the conv kernel and
+stride (`network`) are module constants, not keys.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ class TrainingConfig:
     min_buffer: int = 500
     update_every: int = 2
     target_sync: int = 500
-    huber_delta: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def epsilon(self, step: int) -> float:
         """Exploration rate at `step`: linear from start to end over the
@@ -60,8 +59,6 @@ class RunConfig:
     env_name: str = "mini-breakout"
     env_max_steps: int = 400
     conv_filters: int = 16
-    conv_kernel: int = 3
-    conv_stride: int = 1
     dense_hidden: int = 128
     training: TrainingConfig = field(default_factory=TrainingConfig)
     prune_rate: float = 0.2
@@ -74,8 +71,6 @@ class RunConfig:
                       n_actions: int) -> NetworkSpec:
         return build_scaled_dqn(state_shape, n_actions,
                                 conv_filters=self.conv_filters,
-                                conv_kernel=self.conv_kernel,
-                                conv_stride=self.conv_stride,
                                 dense_hidden=self.dense_hidden)
 
     def scope_indices(self, spec: NetworkSpec) -> tuple[int, ...] | None:
@@ -132,7 +127,6 @@ AT_LEAST_1: Rule = (lambda v: v >= 1, ">= 1")
 POSITIVE: Rule = (lambda v: v > 0, "> 0")
 OPEN_UNIT: Rule = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 UNIT: Rule = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-HALF_OPEN_UNIT: Rule = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 ENV_NAME: Rule = (lambda v: v in ENVS, "one of " + ", ".join(sorted(ENVS)))
 SCOPE: Rule = (lambda v: bool(re.fullmatch(r"conv|all|\s*-?\d+\s*(,\s*-?\d+\s*)*", v)),
                "conv, all, or comma-separated layer indices")
@@ -154,8 +148,6 @@ SCHEMA: tuple[Key, ...] = (
     Key("env", "name", ENV_NAME, "env_name"),
     Key("env", "max_steps", AT_LEAST_1, "env_max_steps"),
     Key("network", "conv_filters", AT_LEAST_1),
-    Key("network", "conv_kernel", AT_LEAST_1),
-    Key("network", "conv_stride", AT_LEAST_1),
     Key("network", "dense_hidden", AT_LEAST_1),
     Key("training", "steps", AT_LEAST_0),
     Key("training", "batch_size", AT_LEAST_1),
@@ -168,10 +160,6 @@ SCHEMA: tuple[Key, ...] = (
     Key("training", "min_buffer", AT_LEAST_1),
     Key("training", "update_every", AT_LEAST_1),
     Key("training", "target_sync", AT_LEAST_1),
-    Key("training", "huber_delta", POSITIVE),
-    Key("training", "adam_beta1", HALF_OPEN_UNIT),
-    Key("training", "adam_beta2", HALF_OPEN_UNIT),
-    Key("training", "adam_eps", POSITIVE),
     Key("pruning", "rate", OPEN_UNIT, "prune_rate"),
     Key("pruning", "iterations", AT_LEAST_1, "prune_iterations"),
     Key("pruning", "scope", SCOPE, "prune_scope"),
@@ -226,14 +214,9 @@ def _cross_key_errors(cfg: RunConfig) -> list[str]:
               f"({tc.buffer_capacity}), got {getattr(tc, name)}"
               for name in ("min_buffer", "batch_size")
               if getattr(tc, name) > tc.buffer_capacity]
-    # the network must fit the environment's frames, and the pruning scope
-    # must name its layers
+    # the pruning scope must name the network's layers
     env = make_env(cfg.env_name, seed=0)
-    try:
-        spec = cfg.build_network(env.state_shape, env.n_actions)
-    except ValueError as e:
-        return errors + [f"[network] does not fit {cfg.env_name} frames "
-                         f"{env.state_shape}: {e}"]
+    spec = cfg.build_network(env.state_shape, env.n_actions)
     bad = [k for k in cfg.scope_indices(spec) or ()
            if not 0 <= k < len(spec.layers)]
     if bad:

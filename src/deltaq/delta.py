@@ -23,7 +23,7 @@ footprint slots first reduces its events to their distinct (y, x) positions
 and looks each up once; the others look up each event. The layer writes the
 deltas into a zero delta image of its input, reads the affected positions'
 rows of the position-major ``(n_pos, C*Ky*Kx)`` im2col table
-(``_im2col_table``) and through them the ``(n_affected, C*Ky*Kx)`` delta
+(``im2col_table``) and through them the ``(n_affected, C*Ky*Kx)`` delta
 block, and adds ``w2 @ block.T`` into those columns of the ``(F, n_pos)``
 accumulator view. The image is zeroed again. At full event density this is
 the im2col GEMM of the dense pass, so there is no fallback path. A dense
@@ -65,8 +65,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .network import LayerSpec, NetworkSpec, WeightSet, im2col_indices
-from .tensorops import check_finite
+from .network import (LayerSpec, NetworkSpec, WeightSet, check_finite,
+                      im2col_table)
 
 # A dense layer adds the full product (delta vector) @ w, zeros included,
 # once more than DENSE_FULL_FRACTION of its inputs fired in a step; up to it
@@ -196,7 +196,7 @@ class DeltaNetwork:
                 w = weights.weights[i].copy()
                 if keep is not None:
                     w[~keep] = 0.0
-                conv.update(cols=_im2col_table(kernel, in_shape, layer.stride),
+                conv.update(cols=im2col_table(kernel, in_shape, layer.stride),
                             w2=w.reshape(w.shape[0], -1))
                 costs = conv_event_costs(w, in_shape, layer.stride).ravel()
             else:
@@ -331,7 +331,7 @@ def conv_event_costs(w: np.ndarray, in_shape: tuple[int, int, int],
     offsets."""
     f = w.shape[0]
     in_shape = tuple(int(s) for s in in_shape)
-    cols = _im2col_table(w.shape[1:], in_shape, stride)
+    cols = im2col_table(w.shape[1:], in_shape, stride)
     nnz = np.count_nonzero(w.reshape(f, -1), axis=0)
     # each (output position, kernel column) pair reads one input position
     costs = np.bincount(cols.ravel(), weights=np.tile(nnz, cols.shape[0]),
@@ -340,37 +340,18 @@ def conv_event_costs(w: np.ndarray, in_shape: tuple[int, int, int],
 
 
 @functools.lru_cache(maxsize=32)
-def _im2col_table(kernel_shape: tuple[int, int, int],
-                  in_shape: tuple[int, int, int],
-                  stride: int) -> np.ndarray:
-    """Flat input index of every (output position, kernel column) entry of
-    a valid conv's position-major im2col matrix: for a (C, H, W) image x
-    that matrix is x.ravel()[table], shape (out_h*out_w, C*Ky*Kx), so the
-    columns of a set of output positions are whole contiguous rows.
-    Read-only and shared between engines; intp, because numpy converts any
-    other index dtype on every gather (int32 tables cost about 7 us of a
-    100 us desk step)."""
-    _, ky, kx = kernel_shape
-    _, h, w = in_shape
-    chans, rows, cols = im2col_indices(in_shape, ky, kx, stride)
-    table = np.ascontiguousarray(((chans * h + rows) * w + cols).T, dtype=np.intp)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=32)
 def _conv_footprint(kernel_shape: tuple[int, int, int],
                     in_shape: tuple[int, int, int],
                     stride: int) -> np.ndarray:
     """Output positions each input position of a valid conv feeds, the
-    inverse of _im2col_table: entry (p, k) of that table, output position p
+    inverse of im2col_table: entry (p, k) of that table, output position p
     reading kernel column k = (c*Ky + ky)*Kx + kx, writes p into its input's
     row at slot (ky // s) * ceil(Kx/s) + kx // s. No two outputs an input
     feeds share a slot, and the row of input (c, y, x) does not depend on
     c; unused slots hold out_h * out_w. intp, read-only and shared between
     engines."""
     _, ky, kx = kernel_shape
-    cols = _im2col_table(kernel_shape, in_shape, stride)
+    cols = im2col_table(kernel_shape, in_shape, stride)
     n_out, n_cols = cols.shape
     k = np.arange(n_cols)
     slots_x = -(-kx // stride)

@@ -1,5 +1,5 @@
-"""Declarative layer/network specs, the dense forward pass, and static
-multiplication counting.
+"""Declarative layer/network specs, the dense forward pass, the im2col
+index tables every conv path reads, and static multiplication counting.
 
 Conventions fixed here and relied on everywhere else:
   - conv weights have shape (filters, in_channels, kernel_y, kernel_x),
@@ -13,14 +13,18 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .tensorops import check_finite, relu
-
 Activation = Literal["relu", "identity"]
+
+# The scaled network's square conv kernel and stride: every scaled network
+# fits both games' 10x10 frames.
+CONV_KERNEL = 3
+CONV_STRIDE = 1
 
 
 @dataclass(frozen=True)
@@ -201,14 +205,14 @@ def build_reference_dqn(n_output: int) -> NetworkSpec:
 
 
 def build_scaled_dqn(input_shape: tuple[int, int, int], n_output: int,
-                     conv_filters: int = 16, conv_kernel: int = 3,
-                     conv_stride: int = 1, dense_hidden: int = 128) -> NetworkSpec:
-    """Desk-scale Q-network for grid environments: one conv layer and two
-    dense layers. Shapes are derived from the input."""
+                     conv_filters: int = 16, dense_hidden: int = 128) -> NetworkSpec:
+    """Desk-scale Q-network for grid environments: one CONV_KERNEL x
+    CONV_KERNEL conv layer at CONV_STRIDE and two dense layers. Shapes are
+    derived from the input."""
     c, h, w = input_shape
     conv = LayerSpec("conv2d", in_channels=c, out_filters=conv_filters,
-                     kernel_x=conv_kernel, kernel_y=conv_kernel,
-                     stride=conv_stride, activation="relu")
+                     kernel_x=CONV_KERNEL, kernel_y=CONV_KERNEL,
+                     stride=CONV_STRIDE, activation="relu")
     oh, ow = conv.conv_output_hw(h, w)
     flat = conv_filters * oh * ow
     layers = (
@@ -236,6 +240,11 @@ def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> WeightSet:
 # forward pass
 # ---------------------------------------------------------------------------
 
+def check_finite(t: np.ndarray) -> None:
+    if not np.isfinite(t).all():
+        raise ValueError("tensor contains non-finite values")
+
+
 def im2col_indices(in_shape: tuple[int, int, int], kernel_y: int, kernel_x: int,
                    stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather indices mapping an image (C,H,W) to columns
@@ -252,6 +261,25 @@ def im2col_indices(in_shape: tuple[int, int, int], kernel_y: int, kernel_x: int,
     cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
     chans = np.repeat(np.arange(c), kernel_y * kernel_x).reshape(-1, 1)
     return chans, rows, cols
+
+
+@functools.lru_cache(maxsize=32)
+def im2col_table(kernel_shape: tuple[int, int, int],
+                 in_shape: tuple[int, int, int],
+                 stride: int) -> np.ndarray:
+    """Flat input index of every (output position, kernel column) entry of
+    a valid conv's position-major im2col matrix: for a (C, H, W) image x
+    that matrix is x.ravel()[table], shape (out_h*out_w, C*Ky*Kx), so the
+    columns of a set of output positions are whole contiguous rows.
+    Read-only and shared between callers; intp, because numpy converts any
+    other index dtype on every gather (int32 tables cost about 7 us of a
+    100 us desk delta step)."""
+    _, ky, kx = kernel_shape
+    _, h, w = in_shape
+    chans, rows, cols = im2col_indices(in_shape, ky, kx, stride)
+    table = np.ascontiguousarray(((chans * h + rows) * w + cols).T, dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def conv2d_single(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -280,7 +308,7 @@ def forward(spec: NetworkSpec, w: WeightSet, x: np.ndarray) -> np.ndarray:
         else:
             cur = w.weights[i] @ cur.ravel() + w.biases[i]
         if layer.activation == "relu":
-            cur = relu(cur)
+            cur = np.maximum(cur, 0.0)
     check_finite(cur)
     return cur.ravel()
 

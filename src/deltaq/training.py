@@ -9,12 +9,12 @@ network and `deltaq delta-eval` to a checkpoint.
 
 The public network forward pass is single-state; training uses its own
 batched forward/backward. It reads conv columns with one gather through
-the delta engine's cached im2col table (`delta._im2col_table`), so both
-share one im2col index source, and adds column gradients back at the same
-input positions. Each conv layer's weight gradient and column gradient is
-one BLAS matrix product over the batch and the output positions together.
-The double-Q target builds the first conv layer's columns of s' once for
-both the online and the target network.
+`network.im2col_table`, the im2col index table the delta engine reads too,
+and adds column gradients back at the same input positions. Each conv
+layer's weight gradient and column gradient is one BLAS matrix product
+over the batch and the output positions together. The double-Q target
+builds the first conv layer's columns of s' once for both the online and
+the target network.
 
 `train` only trains: it plays no evaluation episodes, and its result is
 the last loss and the number of gradient steps. It keeps the online
@@ -24,13 +24,15 @@ biases), with per-layer `WeightSet` views over it: the backward pass
 writes into the gradient views, target sync is one copy, gradient masking
 and the re-zeroing of masked weights are one indexed assignment each, and
 `Adam.step` updates the whole vector in place in cache-sized chunks, in
-the efficient form of Kingma & Ba (one division per element). Masked
-weights receive no gradient and are re-zeroed after every optimizer step,
-so they stay exactly zero throughout training. The target network is
-frozen between syncs, so `train` keeps its Q values per replay slot in a
-`TargetCache` and runs the target forward only on the batch's distinct
-slots that were written or synced since they were last computed. The
-trained values are copied back into the caller's own arrays at the end.
+the efficient form of Kingma & Ba (one division per element). The Huber
+loss's `HUBER_DELTA` and Adam's `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`
+are module constants, not config keys. Masked weights receive no gradient
+and are re-zeroed after every optimizer step, so they stay exactly zero
+throughout training. The target network is frozen between syncs, so
+`train` keeps its Q values per replay slot in a `TargetCache` and runs the
+target forward only on the batch's distinct slots that were written or
+synced since they were last computed. The trained values are copied back
+into the caller's own arrays at the end.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainingConfig
-from .delta import DeltaNetwork, OpCounter, _im2col_table
+from .delta import DeltaNetwork, OpCounter
 from .envs import Environment, random_policy_reward
-from .network import NetworkSpec, WeightSet, forward, init_weights
+from .network import (NetworkSpec, WeightSet, forward, im2col_table,
+                      init_weights)
 from .pruning import (PrunableWeights, SparsityReport, prune_step,
                       report_sparsity, rewind)
 
@@ -139,12 +142,12 @@ class ReplayBuffer:
 @functools.lru_cache(maxsize=32)
 def _im2col_columns(kernel_shape: tuple[int, int, int],
                     in_shape: tuple[int, int, int], stride: int) -> np.ndarray:
-    """The delta engine's position-major im2col table (`_im2col_table`)
-    transposed to (C*Ky*Kx, out_h*out_w): the flat input index of each
-    entry of a valid conv's im2col matrix in the layout `forward_batch`
-    multiplies. A C-contiguous, read-only copy, cached per geometry;
-    gathering through it is faster than through the transposed view."""
-    table = np.ascontiguousarray(_im2col_table(kernel_shape, in_shape, stride).T)
+    """The position-major im2col table (`network.im2col_table`) transposed
+    to (C*Ky*Kx, out_h*out_w): the flat input index of each entry of a
+    valid conv's im2col matrix in the layout `forward_batch` multiplies. A
+    C-contiguous, read-only copy, cached per geometry; gathering through it
+    is faster than through the transposed view."""
+    table = np.ascontiguousarray(im2col_table(kernel_shape, in_shape, stride).T)
     table.flags.writeable = False
     return table
 
@@ -240,18 +243,24 @@ def backward_batch(spec: NetworkSpec, w: WeightSet, caches, d_out: np.ndarray,
     return gw, gb
 
 
-def huber(e: np.ndarray, delta: float = 1.0) -> np.ndarray:
+# The Huber loss's quadratic-to-linear switch: TD errors beyond it get a
+# gradient of constant size (the error clipping of Mnih et al., Nature 2015).
+HUBER_DELTA = 1.0
+
+
+def huber(e: np.ndarray) -> np.ndarray:
     a = np.abs(e)
-    return np.where(a <= delta, 0.5 * e * e, delta * (a - 0.5 * delta))
+    return np.where(a <= HUBER_DELTA, 0.5 * e * e,
+                    HUBER_DELTA * (a - 0.5 * HUBER_DELTA))
 
 
-def huber_grad(e: np.ndarray, delta: float = 1.0) -> np.ndarray:
-    return np.clip(e, -delta, delta)
+def huber_grad(e: np.ndarray) -> np.ndarray:
+    return np.clip(e, -HUBER_DELTA, HUBER_DELTA)
 
 
 def q_loss_and_grads(spec: NetworkSpec, w: WeightSet, states: np.ndarray,
                      actions: np.ndarray, targets: np.ndarray,
-                     delta: float = 1.0, grads: WeightSet | None = None):
+                     grads: WeightSet | None = None):
     """Mean Huber loss between Q(s, a) and fixed targets, plus its analytic
     gradients wrt every weight and bias (written into `grads` if given, see
     `backward_batch`)."""
@@ -259,9 +268,9 @@ def q_loss_and_grads(spec: NetworkSpec, w: WeightSet, states: np.ndarray,
     q, caches = forward_batch(spec, w, states, want_caches=True)
     q_a = q[np.arange(b), actions]
     err = q_a - targets
-    loss = float(np.mean(huber(err, delta)))
+    loss = float(np.mean(huber(err)))
     d_q = np.zeros_like(q)
-    d_q[np.arange(b), actions] = huber_grad(err, delta) / b
+    d_q[np.arange(b), actions] = huber_grad(err) / b
     gw, gb = backward_batch(spec, w, caches, d_q, grads)
     return loss, gw, gb
 
@@ -280,12 +289,19 @@ def q_loss_and_grads(spec: NetworkSpec, w: WeightSet, states: np.ndarray,
 # smaller scratch is kept.
 ADAM_CHUNK = 16384
 
+# Adam's moment decay rates and epsilon, the defaults of Kingma & Ba (ICLR
+# 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Adam:
     """Adaptive-moment optimizer updating one flat float64 vector in place.
 
     It computes the efficient form of Kingma & Ba (ICLR 2015, section 2):
-    with bc1 = 1 - beta1^t and bc2 = 1 - beta2^t, the step size is
+    with beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+    bc1 = 1 - beta1^t and bc2 = 1 - beta2^t, the step size is
     lr_t = lr * sqrt(bc2) / bc1 and the update
     `p -= lr_t * m / (sqrt(v) + eps * sqrt(bc2))`, equal in real arithmetic
     to the textbook `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)` with one
@@ -296,12 +312,11 @@ class Adam:
     gradient on a zero weight with zero moments leaves it exactly zero.
     """
 
-    def __init__(self, params: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float):
         if params.ndim != 1:
             raise ValueError(f"Adam needs one flat vector, got shape {params.shape}")
         self.params = params
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         n = min(ADAM_CHUNK, params.size)
@@ -310,10 +325,10 @@ class Adam:
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.b1, self.b2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         root_bc2 = math.sqrt(1.0 - b2 ** self.t)
         lr_t = self.lr * root_bc2 / (1.0 - b1 ** self.t)
-        eps_hat = self.eps * root_bc2
+        eps_hat = ADAM_EPS * root_bc2
         for lo in range(0, self.params.size, ADAM_CHUNK):
             p = self.params[lo:lo + ADAM_CHUNK]
             g = grad[lo:lo + ADAM_CHUNK]
@@ -445,8 +460,7 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
     # weights lead the flat layout, so the raveled masks index it directly
     masked = np.flatnonzero(np.concatenate([~m.ravel() for m in p.masks]))
     target = _flat_views(spec, theta_target)
-    opt = Adam(theta, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
-               beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+    opt = Adam(theta, lr=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.buffer_capacity, env.state_shape)
     cache = TargetCache(cfg.buffer_capacity, env.n_actions)
     result = TrainResult()
@@ -475,8 +489,7 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
                 y = double_q_target(batch, spec, online, target, cfg.gamma,
                                     cache)
                 loss, _, _ = q_loss_and_grads(
-                    spec, online, batch.states, batch.actions, y,
-                    delta=cfg.huber_delta, grads=grads)
+                    spec, online, batch.states, batch.actions, y, grads=grads)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss {loss} at step {step} "

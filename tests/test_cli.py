@@ -52,8 +52,9 @@ class TestStaticCount:
         assert "9,216" in capsys.readouterr().out
 
     def test_inconsistent_architecture_exits_nonzero(self, tmp_path, capsys):
+        # a pruning scope naming a layer the network does not have
         bad = tmp_path / "bad.ini"
-        bad.write_text("[network]\nconv_kernel = 30\n")
+        bad.write_text("[pruning]\nscope = 0,7\n")
         assert main(["static-count", "--config", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
@@ -124,7 +125,7 @@ class TestPipeline:
         assert "iterations" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("conv_filters", "abc"), ("conv_filters", "0"), ("conv_kernel", "-2"),
+        ("conv_filters", "abc"), ("conv_filters", "0"),
     ])
     def test_bad_network_integer_exits_2(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.ini"
@@ -139,7 +140,6 @@ class TestPipeline:
 
     @pytest.mark.parametrize("section,line,fragment", [
         ("pruning", "scope = 0,7", "scope"),
-        ("training", "adam_beta1 = 1.0", "adam_beta1"),
         ("training", "stpes = 5", "stpes"),
     ])
     def test_bad_training_or_scope_exits_2(self, tmp_path, capsys, section,
@@ -164,6 +164,16 @@ class TestPipeline:
                      id="curve_episodes = 5"),
         pytest.param("delta", "curve_threshold = 0.001",
                      id="curve_threshold = 0.001"),
+        # module constants now (training.HUBER_DELTA, ADAM_BETA1, ADAM_BETA2,
+        # ADAM_EPS; network.CONV_KERNEL, CONV_STRIDE): a line that sets one
+        # is rejected even at the constant's value
+        pytest.param("training", "huber_delta = 1.0", id="huber_delta = 1.0"),
+        pytest.param("training", "adam_beta1 = 0.9", id="adam_beta1 = 0.9"),
+        pytest.param("training", "adam_beta2 = 0.999",
+                     id="adam_beta2 = 0.999"),
+        pytest.param("training", "adam_eps = 1e-8", id="adam_eps = 1e-8"),
+        pytest.param("network", "conv_kernel = 3", id="conv_kernel = 3"),
+        pytest.param("network", "conv_stride = 1", id="conv_stride = 1"),
     ])
     def test_removed_network_keys_exit_2(self, tmp_path, capsys, section,
                                          line):
@@ -174,7 +184,7 @@ class TestPipeline:
         out = tmp_path / "never"
         assert main(["pipeline", "--config", str(bad), "--seed", "1",
                      "--out", str(out)]) == 2
-        assert not (out / "config.ini").exists()
+        assert not out.exists()
         key = line.split(" = ")[0]
         assert f"[{section}] {key}: unknown key" in capsys.readouterr().err
 
@@ -396,15 +406,6 @@ class TestReport:
 
 
 class TestBadInputsExit2:
-    def test_pipeline_network_too_large_for_frames(self, tmp_path, capsys):
-        bad = tmp_path / "big.ini"
-        bad.write_text("[network]\nconv_kernel = 30\n")
-        out = tmp_path / "never"
-        assert main(["pipeline", "--config", str(bad), "--seed", "1",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
-        assert "does not fit" in capsys.readouterr().err
-
     def test_pipeline_repeated_threshold_rejected(self, tmp_path, capsys):
         # a repeat would be evaluated twice and kept once
         bad = tmp_path / "repeat.ini"

@@ -23,7 +23,7 @@ def masked_forward(spec, weights, masks, x):
 
 def random_net(rng, input_hw=(6, 6), channels=2, filters=3):
     spec = build_scaled_dqn((channels, *input_hw), 3, conv_filters=filters,
-                            conv_kernel=3, dense_hidden=8)
+                            dense_hidden=8)
     w = init_weights(spec, rng)
     return spec, w
 

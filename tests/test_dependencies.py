@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -22,3 +23,21 @@ def test_numpy_is_the_only_runtime_dependency():
     done = subprocess.run([sys.executable, "-I", "-c", probe],
                           capture_output=True, text=True, check=True)
     assert set(json.loads(done.stdout)) <= {"deltaq", "numpy"}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name another module needs belongs in that module's public surface
+    package = Path(deltaq.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("deltaq")):
+                found += [f"{path.name}: {alias.name} from "
+                          f"{'.' * node.level}{node.module or ''}"
+                          for alias in node.names if is_private(alias.name)]
+    assert found == []

@@ -9,11 +9,11 @@ from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
                             init_weights)
 from deltaq.pruning import PrunableWeights, prune_step, rewind
 from deltaq import training
-from deltaq.training import (ADAM_CHUNK, Adam, Batch,
-                             ReplayBuffer, TargetCache, TrainingDiverged,
-                             double_q_target, _flat_views, _im2col_batch,
-                             backward_batch, evaluate, forward_batch, huber,
-                             q_loss_and_grads, train)
+from deltaq.training import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS,
+                             Adam, Batch, ReplayBuffer, TargetCache,
+                             TrainingDiverged, double_q_target, _flat_views,
+                             _im2col_batch, backward_batch, evaluate,
+                             forward_batch, huber, q_loss_and_grads, train)
 
 
 def tiny_spec():
@@ -507,14 +507,14 @@ class TestAdam:
             steps.append(g)
 
         flat = start.copy()
-        opt = Adam(flat, lr=3e-3, beta1=0.8, beta2=0.995, eps=1e-7)
+        opt = Adam(flat, lr=3e-3)
         for g in steps:
             opt.step(g)
 
         cuts = np.cumsum(sizes)[:-1]
         ref = np.split(start.copy(), cuts)
         adam_per_array(ref, [np.split(g, cuts) for g in steps],
-                       lr=3e-3, b1=0.8, b2=0.995, eps=1e-7)
+                       lr=3e-3, b1=ADAM_BETA1, b2=ADAM_BETA2, eps=ADAM_EPS)
         ref = np.concatenate(ref)
         assert np.array_equal(flat.view(np.int64), ref.view(np.int64))
         assert np.all(flat[masked] == 0.0)
@@ -535,14 +535,14 @@ class TestAdam:
             steps.append(g)
 
         flat = start.copy()
-        opt = Adam(flat, lr=3e-3, beta1=0.8, beta2=0.995, eps=1e-7)
+        opt = Adam(flat, lr=3e-3)
         for g in steps:
             opt.step(g)
 
         cuts = np.cumsum(sizes)[:-1]
         ref = np.split(start.copy(), cuts)
         adam_textbook(ref, [np.split(g, cuts) for g in steps],
-                      lr=3e-3, b1=0.8, b2=0.995, eps=1e-7)
+                      lr=3e-3, b1=ADAM_BETA1, b2=ADAM_BETA2, eps=ADAM_EPS)
         ref = np.concatenate(ref)
         assert not np.array_equal(flat, start)
         np.testing.assert_allclose(flat, ref, rtol=0, atol=1e-12)
