@@ -11,9 +11,14 @@ its activation has drifted at least the threshold away from the last
 transmitted value (a hysteresis gate: the comparison point is the last
 *sent* value, so sub-threshold residue is never discarded).
 
-Each weighted layer is one ``_Layer`` record: its masked weights, bias,
+Each weighted layer is one ``_Layer`` record: its kind, masked weights, bias,
 per-input event costs, conv tables, reusable buffers and the flat episode
 state (accumulator ``o`` and last transmitted values ``x``).
+
+A step is one loop over the rows, input first, and every row runs the same
+lines: its layer takes in the events of the row above, applies its
+activation and gates the result inline by the one rule above. Once a row
+after the first step sends nothing, no row below it can, and the loop stops.
 
 Events update accumulators in place; no layer is re-run. A conv layer marks
 the output positions its events touch through a footprint table, the inverse
@@ -45,10 +50,13 @@ activations propagate and the first frame behaves like a full dense pass
 
 A multiplication is counted as significant when both the incoming delta and
 the weight are nonzero; masked weights are zero and therefore never counted.
-Accumulator additions are not counted. Events consumed from the input are
-attributed to the first weighted layer; the Input row of the counter tracks
-event traffic only. A layer receives exactly the events the row before it
-sent.
+Accumulator additions are not counted. Where every input of a layer costs
+the same number of multiplications, as in a dense layer with no masked
+weight, a step counts its events times that cost; elsewhere (conv layers,
+whose border inputs cost less, and masked dense layers) it sums the costs of
+the fired inputs. Events consumed from the input are attributed to the first
+weighted layer; the Input row of the counter tracks event traffic only. A
+layer receives exactly the events the row before it sent.
 
 Action selection downstream reads the output layer's transmitted values
 (not the instantaneous accumulator activations); with a zero threshold the
@@ -121,9 +129,11 @@ class _Layer:
     flat episode state. The delta buffers are zero again after every step."""
 
     spec: LayerSpec
+    conv: bool
     w: np.ndarray           # masked: conv (F, C, Ky, Kx), dense (in, out) C-order
     b: np.ndarray
     costs: np.ndarray       # significant multiplications per flat input event
+    cost: int | None        # every input event's cost where all are equal, else None
     zero_deltas: np.ndarray  # a zero delta image (conv) or vector (dense) of the input
     full_from: float        # fired inputs above which a dense layer takes the full product
     block_rows: int         # dense: weight rows gathered per block of DENSE_BLOCK_BYTES
@@ -154,6 +164,14 @@ class DeltaNetwork:
                  masks: Sequence[np.ndarray] | None = None,
                  trace: IO[str] | None = None):
         weights.validate(spec)
+        if masks is not None:
+            if len(masks) != len(spec.layers):
+                raise ValueError(f"{len(masks)} masks for {len(spec.layers)} "
+                                 "layers: give one mask per layer")
+            for i, (layer, m) in enumerate(zip(spec.layers, masks)):
+                if np.shape(m) != layer.weight_shape():
+                    raise ValueError(f"layer {i}: mask shape {np.shape(m)} != "
+                                     f"{layer.weight_shape()}")
         for arr in (*weights.weights, *weights.biases):
             check_finite(arr)
         self.spec = spec
@@ -204,13 +222,18 @@ class DeltaNetwork:
                 if keep is not None:
                     w[~keep.T] = 0.0
                 costs = np.count_nonzero(w, axis=1).astype(np.int64)
+            # a count of equal costs needs no gather: every unmasked dense
+            # layer; a conv layer's border inputs cost less
+            cost = int(costs[0]) if costs.min() == costs.max() else None
             self.layers.append(_Layer(
-                spec=layer, w=w, b=weights.biases[i].copy(),
-                costs=costs, full_from=DENSE_FULL_FRACTION * n_in,
+                spec=layer, conv=layer.kind == "conv2d", w=w,
+                b=weights.biases[i].copy(), costs=costs, cost=cost,
+                full_from=DENSE_FULL_FRACTION * n_in,
                 block_rows=max(1, DENSE_BLOCK_BYTES // w[0].nbytes),
                 **bufs, **conv))
             in_shape = out_shape
 
+        self._receivers = (*self.layers, None)
         self.input_prev = np.empty(int(np.prod(spec.input_shape)))
         self.counter = OpCounter(spec.layer_names())
         self.reset_state()
@@ -237,51 +260,50 @@ class DeltaNetwork:
                 f"frame shape {frame.shape} != {self.spec.input_shape}")
         check_finite(frame)
         ctr = self.counter
-        idx, deltas = self._gate(0, frame.reshape(-1), self.input_prev)
-        for k, L in enumerate(self.layers, 1):
+        mults, events = ctr.significant_multiplications, ctr.events_sent
+        t, trace, first = self.input_threshold, self.trace, self._first_step
+        # row k (0 is the input) holds `value` and last sent `sent`; L is
+        # the layer that takes in its events, None below the output row
+        value, sent, k = frame.reshape(-1), self.input_prev, 0
+        for L in self._receivers:
+            # the gate (for a threshold > 0, |d| >= t implies d != 0)
+            d = value - sent
+            idx = ((d != 0.0) if t == 0.0 else (np.abs(d) >= t)).nonzero()[0]
+            n = idx.size
+            if n:
+                deltas = d[idx]
+                sent[idx] = value[idx]
+                events[k] += n
+                if trace is not None:
+                    head = f"{ctr.timesteps}\t{ctr.layer_names[k]}\t"
+                    trace.write("".join(f"{head}{int(i)}\t{float(v)!r}\n"
+                                        for i, v in zip(idx, deltas)))
+            elif not first:
+                break  # no row below receives an event
+            if L is None:
+                break
+            k += 1
             o = L.o
-            if idx.size:
-                if L.spec.kind == "conv2d":
+            if n:
+                if L.conv:
                     self._conv_update(L, idx, deltas)
-                elif idx.size > L.full_from:
+                elif n > L.full_from:
                     dvec = L.zero_deltas
                     dvec[idx] = deltas
                     o += dvec @ L.w
                     dvec[idx] = 0.0
                 else:
-                    n = L.block_rows
-                    for lo in range(0, idx.size, n):
-                        o += deltas[lo:lo + n] @ L.w.take(idx[lo:lo + n], axis=0)
-                ctr.significant_multiplications[k] += int(L.costs[idx].sum())
-
-            if idx.size or self._first_step:
-                act = o if L.act is None else np.maximum(o, 0.0, out=L.act)
-                idx, deltas = self._gate(k, act, L.x)
+                    b = L.block_rows
+                    for lo in range(0, n, b):
+                        o += deltas[lo:lo + b] @ L.w.take(idx[lo:lo + b], axis=0)
+                mults[k] += (n * L.cost if L.cost is not None
+                             else int(L.costs[idx].sum()))
+            value = o if L.act is None else np.maximum(o, 0.0, out=L.act)
+            sent = L.x
 
         self._first_step = False
         ctr.timesteps += 1
         return self.layers[-1].x.copy()
-
-    def _gate(self, k: int, value: np.ndarray,
-              sent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row k's events: the flat indices where `value` differs from the
-        last `sent` value by a nonzero amount of at least the threshold (for
-        a threshold > 0 the second implies the first), and those changes.
-        `sent` catches up at the fired indices, which are counted and
-        traced."""
-        d = value - sent
-        t = self.input_threshold
-        idx = ((d != 0.0) if t == 0.0 else (np.abs(d) >= t)).nonzero()[0]
-        deltas = d[idx]
-        if idx.size:
-            sent[idx] = value[idx]
-            ctr = self.counter
-            ctr.events_sent[k] += idx.size
-            if self.trace is not None:
-                head = f"{ctr.timesteps}\t{ctr.layer_names[k]}\t"
-                self.trace.write("".join(f"{head}{int(i)}\t{float(v)!r}\n"
-                                         for i, v in zip(idx, deltas)))
-        return idx, deltas
 
     def _conv_update(self, L: _Layer, idx: np.ndarray,
                      deltas: np.ndarray) -> None:
@@ -315,7 +337,7 @@ class DeltaNetwork:
         routine calls it automatically."""
         prev = self.input_prev
         for L in self.layers:
-            if L.spec.kind == "conv2d":  # the im2col GEMM of the dense pass
+            if L.conv:  # the im2col GEMM of the dense pass
                 L.o2[...] = L.w2 @ prev[L.cols].T + L.b[:, None]
             else:
                 L.o[...] = L.w.T @ prev + L.b

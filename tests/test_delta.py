@@ -88,6 +88,32 @@ class TestInitialization:
         with pytest.raises(ValueError):
             DeltaNetwork(spec, w, thresholds=-0.1)
 
+    @pytest.mark.parametrize("case,match", [
+        ("one-short", "one mask per layer"),
+        ("one-too-many", "one mask per layer"),
+        ("dense-wrong-shape", "layer 1: mask shape"),
+        ("dense-transposed", "layer 2: mask shape"),
+        ("conv-wrong-shape", "layer 0: mask shape"),
+    ])
+    def test_masks_must_match_layers(self, case, match):
+        # one short raised a bare IndexError, one too many was accepted and
+        # a misshaped dense mask failed inside numpy's indexing
+        rng = np.random.default_rng(4)
+        spec, w = random_net(rng)
+        masks = random_masks(spec, rng)
+        if case == "one-short":
+            masks = masks[:-1]
+        elif case == "one-too-many":
+            masks = masks + [masks[-1]]
+        elif case == "dense-wrong-shape":
+            masks[1] = masks[1][:, :-1]
+        elif case == "dense-transposed":
+            masks[2] = masks[2].T
+        else:
+            masks[0] = masks[0][:, :, :-1]
+        with pytest.raises(ValueError, match=match):
+            DeltaNetwork(spec, w, thresholds=0.0, masks=masks)
+
 
 class TestStep:
     def test_identical_frames_no_events_no_mults(self):
@@ -197,9 +223,14 @@ class TestInvariants:
         sizes = [int(np.prod(spec.input_shape))] + \
                 [int(np.prod(s)) for s in spec.output_shapes()]
         received = {lab: np.zeros(n) for lab, n in zip(labels, sizes)}
-        for line in trace.getvalue().splitlines():
+        lines = trace.getvalue().splitlines()
+        for line in lines:
             t, lab, idx, d = line.split("\t")
             received[lab][int(idx)] += float(d)
+        # one line per event sent, on every row
+        per_row = [sum(line.split("\t")[1] == lab for line in lines)
+                   for lab in labels]
+        assert per_row == dn.counter.events_sent.tolist()
         shapes = [spec.input_shape] + spec.output_shapes()
         for k, layer in enumerate(spec.layers):
             rcv = received[labels[k]].reshape(shapes[k])
@@ -586,16 +617,36 @@ class TestDensePathChoice:
         monkeypatch.setattr(delta, "DENSE_BLOCK_BYTES", 2 * 12 * 8)
         self.check_against_oracle(t_val, block_rows=2)
 
-    def check_against_oracle(self, t_val, block_rows=None):
+    @pytest.mark.parametrize("t_val", [0.0, 0.05])
+    @pytest.mark.parametrize("masking", ["all-true", "one-row-partly"])
+    def test_equal_and_uneven_costs_match_per_event_oracle(self, t_val,
+                                                           masking):
+        # with all-true masks every row of both layers costs the same, and
+        # a step counts events times that cost; masking part of one Dense-1
+        # row makes its costs uneven, and Dense-1 sums them again
+        def masks_of(rng):
+            masks = [np.ones(l.weight_shape(), dtype=bool)
+                     for l in self.SPEC.layers]
+            if masking == "one-row-partly":
+                masks[0][:5, 7] = False
+            return masks
+        uniform = ([True, True] if masking == "all-true" else [False, True])
+        self.check_against_oracle(t_val, masks_of=masks_of, uniform=uniform)
+
+    def check_against_oracle(self, t_val, block_rows=None, masks_of=None,
+                             uniform=None):
         spec = self.SPEC
         rng = np.random.default_rng(25)
         for trial in range(3):
             w = init_weights(spec, rng)
             for b in w.biases:
                 b[:] = rng.normal(size=b.shape) * 0.1
-            masks = random_masks(spec, rng, density=0.6)
+            masks = (random_masks(spec, rng, density=0.6) if masks_of is None
+                     else masks_of(rng))
             frames = [rng.normal(size=spec.input_shape)] + self.stream(rng)
             dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
+            if uniform is not None:
+                assert [L.cost is not None for L in dn.layers] == uniform
             fired = fired_per_step(dn, frames, 0)[1:]
             fractions = [n / 40 for n in fired]
             assert any(0 < f <= DENSE_FULL_FRACTION for f in fractions)

@@ -711,6 +711,31 @@ class TestEvaluate:
             [0, 64 * 4 * 9 * 4 * t, 256 * 16 * t, 16 * 3 * t]
         assert c.events_sent.tolist() == [400 * t, 256 * t, 16 * t, 3 * t]
 
+    def test_step_and_check_finite_hooks_see_every_delta_step(self,
+                                                                monkeypatch):
+        # the benchmark times delta evaluation by replacing DeltaNetwork.step
+        # on the class and traces check_finite through the delta module
+        from deltaq import delta
+        calls = {"step": 0, "check_finite": 0}
+        step, check_finite = delta.DeltaNetwork.step, delta.check_finite
+
+        def counted_step(self, frame):
+            calls["step"] += 1
+            return step(self, frame)
+
+        def counted_check_finite(arr):
+            calls["check_finite"] += 1
+            check_finite(arr)
+
+        monkeypatch.setattr(delta.DeltaNetwork, "step", counted_step)
+        env, spec, w = self.setup_pair(seed=13)
+        n_arrays = len(w.weights) + len(w.biases)
+        monkeypatch.setattr(delta, "check_finite", counted_check_finite)
+        res = evaluate(env.fork(4), spec, w, episodes=2, mode="delta")
+        t = res.counter.timesteps
+        assert t > 0
+        assert calls == {"step": t, "check_finite": n_arrays + t}
+
     def test_episode_validation(self):
         env, spec, w = self.setup_pair(seed=13)
         with pytest.raises(ValueError):

@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Digests of the delta engine's trajectory on the benchmark's streams.
+
+For each delta workload of bench/workloads.py and each of its thresholds,
+one engine steps through every recorded episode (reset_state between
+episodes). A SHA-256 covers, step by step, the returned output and every
+layer's accumulator `o` and transmitted values `x`, then the engine's two
+counter arrays. Two commits that print the same digests did the same
+arithmetic bit for bit on these streams.
+
+    PYTHONPATH=src python3 tools/engine_digest.py --seed 1
+
+BLAS is pinned to one thread, as in bench/run.py, because T=0 counts
+depend on float summation order.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+
+
+def digest(setup: workloads.DeltaSetup, label: str) -> str:
+    eng = setup.engines[label]
+    h = hashlib.sha256()
+    for ep in setup.episodes:
+        eng.reset_state()
+        for frame in ep:
+            h.update(eng.step(frame).tobytes())
+            for L in eng.layers:
+                h.update(L.o.tobytes())
+                h.update(L.x.tobytes())
+    h.update(eng.counter.significant_multiplications.tobytes())
+    h.update(eng.counter.events_sent.tobytes())
+    return h.hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    for name, scale in workloads.DELTA_SCALES.items():
+        setup = workloads.setup_delta(args.seed, scale)
+        for label in setup.engines:
+            print(f"{name}\t{label}\t{digest(setup, label)}")
+
+
+if __name__ == "__main__":
+    main()
