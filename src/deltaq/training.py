@@ -12,9 +12,12 @@ batched forward/backward. It reads conv columns with one gather through
 `network.im2col_table`, the im2col index table the delta engine reads too,
 and adds column gradients back at the same input positions. Each conv
 layer's weight gradient and column gradient is one BLAS matrix product
-over the batch and the output positions together. The double-Q target
-builds the first conv layer's columns of s' once for both the online and
-the target network.
+over the batch and the output positions together.
+
+`ReplayBuffer` holds each observation once, as uint8, and each transition
+the indices of its s and s' frames. Its `add` rejects a state that uint8
+does not hold exactly (narrower than the float32 store it replaced), so
+sampled float64 batches are the added states bit for bit.
 
 `train` only trains: it plays no evaluation episodes, and its result is
 the last loss and the number of gradient steps. It keeps the online
@@ -73,23 +76,29 @@ class Batch:
 class ReplayBuffer:
     """Bounded FIFO of transitions with uniform sampling.
 
-    States are held as float32 and returned as float64 batches. `add`
-    rejects a state of the wrong shape, or one that float32 does not hold
-    exactly (NaN, infinity, out of range or finer than float32), before it
-    writes anything; the binary grid observations are held exactly.
+    Each observation is held once, as uint8, in a ring of `2 * capacity`
+    frames, and `at[i]` holds the frame indices of transition i's s and s'
+    (the replay memory layout of Mnih et al., Nature 2015); batches are
+    float64. `add` rejects a state of the wrong shape, or one that uint8
+    does not hold exactly (NaN, infinity, negative, above 255 or not an
+    integer), before it writes anything.
     """
 
     def __init__(self, capacity: int, state_shape: tuple[int, ...]):
         self.capacity = int(capacity)
         self.size = 0
         self.pos = 0
-        # the state arrays are most of the buffer's memory; no slot is read
-        # before it is written, so they are left uninitialised
-        self.s = np.empty((capacity, *state_shape), dtype=np.float32)
-        self.a = np.zeros(capacity, dtype=np.int64)
-        self.r = np.zeros(capacity, dtype=np.float64)
-        self.s_next = np.empty((capacity, *state_shape), dtype=np.float32)
-        self.done = np.zeros(capacity, dtype=bool)
+        # No frame is read before it is written, so the ring is left
+        # uninitialised. A frame is overwritten once 2 * capacity more are
+        # written. Each add writes s' and, unless s is the frame written
+        # last, s first: at most 2 * capacity - 1 frames are written after
+        # the oldest live transition's s frame, fewer after any later one.
+        self.frames = np.empty((2 * self.capacity, *state_shape), dtype=np.uint8)
+        self.n_frames = 0  # frames written so far; frame k is at k % len(frames)
+        self.at = np.zeros((self.capacity, 2), dtype=np.int64)
+        self.a = np.zeros(self.capacity, dtype=np.int64)
+        self.r = np.zeros(self.capacity, dtype=np.float64)
+        self.done = np.zeros(self.capacity, dtype=bool)
 
     def add(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray,
             done: bool) -> None:
@@ -97,26 +106,30 @@ class ReplayBuffer:
             raise ValueError("non-finite reward")
         s, s_next = np.asarray(s), np.asarray(s_next)
         for name, x in (("state", s), ("next state", s_next)):
-            if x.shape != self.s.shape[1:]:
-                raise ValueError(f"{name} shape {x.shape} != {self.s.shape[1:]}")
-        # A round trip through float32 gives back exactly what float32
-        # holds; NaN, infinity and values that round, underflow or overflow
-        # leave a nonzero or NaN difference (infinity and overflow also
-        # raise numpy's RuntimeWarning on the way). Both states go through
-        # it as one array: at about 3 us per small array operation between
-        # gradient steps, every operation per transition costs about 0.3%
-        # of a training.
-        both = np.concatenate((s, s_next))
-        held = both.astype(np.float32)
-        if np.count_nonzero(held - both):
-            raise ValueError("state or next state holds values float32 "
-                             "cannot hold exactly (non-finite, out of range "
-                             "or finer than float32)")
-        i, n = self.pos, len(s)
-        self.s[i] = held[:n]
+            if x.shape != self.frames.shape[1:]:
+                raise ValueError(f"{name} shape {x.shape} != {self.frames.shape[1:]}")
+        ring, k = len(self.frames), self.n_frames
+        # Inside an episode s is the previous s', the frame written last;
+        # equal to a uint8 frame, it is held exactly and is not stored again.
+        reuse = k > 0 and (s == self.frames[(k - 1) % ring]).all()
+        new = s_next if reuse else np.concatenate((s, s_next))
+        # A round trip through uint8 gives back exactly what uint8 holds;
+        # NaN, infinity and values that wrap or truncate come back changed.
+        held = new.astype(np.uint8)
+        if np.count_nonzero(held != new):
+            raise ValueError("state or next state holds values uint8 "
+                             "cannot hold exactly (non-finite, negative, "
+                             "above 255 or not an integer)")
+        if reuse:  # k becomes s's frame number; held is s' or s then s'
+            k -= 1
+        else:
+            self.frames[k % ring] = held[:len(s)]
+        self.frames[(k + 1) % ring] = held[-len(s):]
+        i = self.pos
+        self.at[i] = (k % ring, (k + 1) % ring)
+        self.n_frames = k + 2
         self.a[i] = a
         self.r[i] = r
-        self.s_next[i] = held[n:]
         self.done[i] = done
         self.pos = (self.pos + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -125,11 +138,12 @@ class ReplayBuffer:
         if self.size < n:
             raise ValueError(f"buffer holds {self.size} < batch size {n}")
         idx = rng.integers(0, self.size, size=n)
+        at = self.at[idx]
         return Batch(
-            states=self.s[idx].astype(np.float64),
+            states=self.frames[at[:, 0]].astype(np.float64),
             actions=self.a[idx].copy(),
             rewards=self.r[idx].copy(),
-            next_states=self.s_next[idx].astype(np.float64),
+            next_states=self.frames[at[:, 1]].astype(np.float64),
             dones=self.done[idx].copy(),
             slots=idx,
         )
@@ -161,23 +175,17 @@ def _im2col_batch(x: np.ndarray, ky: int, kx: int, stride: int) -> np.ndarray:
 
 
 def forward_batch(spec: NetworkSpec, w: WeightSet, x: np.ndarray,
-                  want_caches: bool = False,
-                  first_cols: np.ndarray | None = None):
+                  want_caches: bool = False):
     """Batched forward pass over (B, C, H, W) states; optionally keeps the
-    intermediates needed for the backward pass. `first_cols` may carry the
-    first conv layer's columns of x (`_im2col_batch`) when they are already
-    built."""
+    intermediates needed for the backward pass."""
     b = x.shape[0]
     cur = x
     caches = []
     for i, layer in enumerate(spec.layers):
         if layer.kind == "conv2d":
             f = layer.out_filters
-            if i == 0 and first_cols is not None:
-                cols = first_cols
-            else:
-                cols = _im2col_batch(cur, layer.kernel_y, layer.kernel_x,
-                                     layer.stride)             # (B, CKK, P)
+            cols = _im2col_batch(cur, layer.kernel_y, layer.kernel_x,
+                                 layer.stride)                 # (B, CKK, P)
             pre = np.matmul(w.weights[i].reshape(f, -1), cols) # (B, F, P)
             pre += w.biases[i].reshape(1, f, 1)
             out_h, out_w = layer.conv_output_hw(cur.shape[2], cur.shape[3])
@@ -366,17 +374,15 @@ class TargetCache:
         self.q = np.empty((capacity, n_actions))
         self.fresh = np.zeros(capacity, dtype=bool)
 
-    def lookup(self, batch: Batch, spec: NetworkSpec, target: WeightSet,
-               first_cols: np.ndarray | None) -> np.ndarray:
+    def lookup(self, batch: Batch, spec: NetworkSpec,
+               target: WeightSet) -> np.ndarray:
         """(B, n_actions) target values of the batch's next states, running
         the target forward once per distinct stale slot and caching it."""
         stale = np.flatnonzero(~self.fresh[batch.slots])
         if stale.size:
             slots, first = np.unique(batch.slots[stale], return_index=True)
-            rows = stale[first]
-            cols = None if first_cols is None else first_cols[rows]
-            self.q[slots] = forward_batch(spec, target, batch.next_states[rows],
-                                          first_cols=cols)
+            self.q[slots] = forward_batch(spec, target,
+                                          batch.next_states[stale[first]])
             self.fresh[slots] = True
         return self.q[batch.slots]
 
@@ -390,17 +396,11 @@ def double_q_target(batch: Batch, spec: NetworkSpec, online: WeightSet,
     With a `cache` (and `batch.slots`), Q_target(s') is read from it and
     computed only for stale slots; without one, the target forward runs
     over the whole batch, which is the reference the cache must match."""
-    first = spec.layers[0]
-    cols = None
-    if first.kind == "conv2d":  # one im2col of s' serves both networks
-        cols = _im2col_batch(batch.next_states, first.kernel_y,
-                             first.kernel_x, first.stride)
-    q_online = forward_batch(spec, online, batch.next_states, first_cols=cols)
+    q_online = forward_batch(spec, online, batch.next_states)
     if cache is None:
-        q_target = forward_batch(spec, target, batch.next_states,
-                                 first_cols=cols)
+        q_target = forward_batch(spec, target, batch.next_states)
     else:
-        q_target = cache.lookup(batch, spec, target, cols)
+        q_target = cache.lookup(batch, spec, target)
     best = np.argmax(q_online, axis=1)
     bootstrap = q_target[np.arange(len(best)), best]
     return batch.rewards + gamma * np.where(batch.dones, 0.0, bootstrap)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,10 @@ class TestReplayBuffer:
         buf = ReplayBuffer(7, (2, 3, 3))
         written = {}
         for i in range(19):  # wraps twice: the slots hold i = 12..18
-            s = np.full((2, 3, 3), float(i))
-            buf.add(s, i % 3, float(i), s + 0.5, i % 4 == 0)
+            # no state repeats, so every add writes two frames: the ring's
+            # worst case
+            s = np.full((2, 3, 3), 2.0 * i)
+            buf.add(s, i % 3, float(i), s + 1.0, i % 4 == 0)
             written[i] = (i % 3, i % 4 == 0)
         rng = np.random.default_rng(3)
         seen = set()
@@ -158,10 +162,32 @@ class TestReplayBuffer:
                                       batch.dones):
                 i = int(r)
                 assert 12 <= i <= 18  # the last `capacity` transitions
-                assert np.all(s == i) and np.all(s2 == i + 0.5)
+                assert np.all(s == 2 * i) and np.all(s2 == 2 * i + 1)
                 assert (a, d) == written[i]
                 seen.add(i)
         assert seen == set(range(12, 19))
+
+    def test_episode_shares_frames_between_transitions(self):
+        env = make_env("mini-breakout", seed=4, max_steps=40)
+        buf = ReplayBuffer(100, env.state_shape)
+        rng = np.random.default_rng(4)
+        state, done, n = env.reset(), False, 0
+        while not done:
+            s_next, r, done = env.step(int(rng.integers(env.n_actions)))
+            buf.add(state, 0, r, s_next, done)
+            state, n = s_next, n + 1
+        assert n > 1
+        assert np.array_equal(buf.at[1:n, 0], buf.at[:n - 1, 1])
+        assert buf.n_frames == n + 1
+
+    def test_reserve_is_one_uint8_frame_store(self):
+        tracemalloc.start()
+        try:
+            ReplayBuffer(20000, (4, 10, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     def test_rejects_nonfinite_reward(self):
         buf = ReplayBuffer(4, (1, 1, 1))
@@ -178,16 +204,21 @@ class TestReplayBuffer:
         (np.full((4, 10, 10), 1e300), np.zeros((4, 10, 10))),  # -> inf
         (np.zeros((4, 10, 10)), np.full((4, 10, 10), 0.1)),    # rounds
         (np.full((4, 10, 10), 2.0 ** -160), np.zeros((4, 10, 10))),  # -> 0
+        (np.full((4, 10, 10), -1.0), np.zeros((4, 10, 10))),   # wraps
+        (np.ones((4, 10, 10)), np.full((4, 10, 10), 0.5)),     # s reused
+        (np.zeros((4, 10, 10)), np.full((4, 10, 10), 256.0)),  # wraps
+        (np.where(np.arange(400).reshape(4, 10, 10) == 7, np.nan, 1.0),
+         np.ones((4, 10, 10))),           # the last frame but for one NaN
     ])
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_rejects_states_it_cannot_hold(self, s, s_next):
         buf = ReplayBuffer(3, (4, 10, 10))
         buf.add(np.ones((4, 10, 10)), 1, 1.0, np.ones((4, 10, 10)), False)
-        before = [a.copy() for a in (buf.s, buf.a, buf.r, buf.s_next, buf.done)]
+        before = [a.copy() for a in (buf.frames, buf.at, buf.a, buf.r, buf.done)]
         with pytest.raises(ValueError, match="state"):
             buf.add(s, 0, 0.0, s_next, True)
-        assert (buf.size, buf.pos) == (1, 1)
-        after = (buf.s, buf.a, buf.r, buf.s_next, buf.done)
+        assert (buf.size, buf.pos, buf.n_frames) == (1, 1, 2)
+        after = (buf.frames, buf.at, buf.a, buf.r, buf.done)
         for a, b in zip(before, after):  # no slot was written
             assert a.tobytes() == b.tobytes()
 
@@ -203,7 +234,9 @@ class TestReplayBuffer:
             kept.append((state, s_next))
             state = env.reset() if done else s_next
         for i, (s, s2) in enumerate(kept):
-            assert np.array_equal(buf.s[i], s) and np.array_equal(buf.s_next[i], s2)
+            s_at, s2_at = buf.at[i]
+            assert np.array_equal(buf.frames[s_at], s) and \
+                np.array_equal(buf.frames[s2_at], s2)
 
 
 class TestDoubleQTarget:
@@ -258,14 +291,15 @@ class TestTargetCache:
 
         def add():
             cache.fresh[buf.pos] = False
-            buf.add(rng.normal(size=(2, 4, 4)).astype(np.float32), 0, 1.0,
-                    rng.normal(size=(2, 4, 4)).astype(np.float32), False)
+            buf.add(rng.integers(0, 2, size=(2, 4, 4)), 0, 1.0,
+                    rng.integers(0, 2, size=(2, 4, 4)), False)
 
         def check(slots):
             slots = np.array(slots)
-            batch = Batch(states=buf.s[slots].astype(np.float64),
+            s_at, s2_at = buf.at[slots].T
+            batch = Batch(states=buf.frames[s_at].astype(np.float64),
                           actions=buf.a[slots], rewards=buf.r[slots],
-                          next_states=buf.s_next[slots].astype(np.float64),
+                          next_states=buf.frames[s2_at].astype(np.float64),
                           dones=buf.done[slots], slots=slots)
             ref = double_q_target(batch, spec, online, target, 0.9)
             y = double_q_target(batch, spec, online, target, 0.9, cache)

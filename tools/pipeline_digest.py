@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Digests of one `deltaq pipeline` run with the benchmark's pipeline config.
+
+Writes bench/workloads.py's PIPELINE_CONFIG to a temporary directory, runs
+`deltaq pipeline` on it in-process and prints the SHA-256 of `records.json`,
+`tables.txt` and each checkpoint. Two commits that print the same digests
+trained, pruned and evaluated bit for bit alike at this seed.
+
+    python3 tools/pipeline_digest.py --seed 7
+
+BLAS is pinned to one thread, as in bench/run.py, because trained weights
+depend on float summation order.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from deltaq import cli  # noqa: E402
+from workloads import PIPELINE_CONFIG  # noqa: E402
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "pipeline.ini").write_text(PIPELINE_CONFIG)
+        out = work / "run"
+        with contextlib.redirect_stdout(sys.stderr):  # stdout: digests only
+            code = cli.main(["pipeline", "--config", str(work / "pipeline.ini"),
+                             "--seed", str(args.seed), "--out", str(out)])
+        if code:
+            sys.exit(f"deltaq pipeline exited {code}")
+        files = [out / "records.json", out / "tables.txt",
+                 *sorted((out / "checkpoints").glob("*.ckpt"))]
+        for path in files:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{path.relative_to(out)}\t{digest}")
+
+
+if __name__ == "__main__":
+    main()
