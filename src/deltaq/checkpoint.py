@@ -117,10 +117,12 @@ def load_checkpoint(path: str | Path) -> tuple[PrunableWeights, dict[str, Any]]:
     PrunableWeights and the rest of the header's extra metadata (env,
     env_max_steps, seed). Raises CheckpointError, naming the path, on a
     bad magic or version, a truncated or oversized file, a header with a
-    missing or malformed field, no masks or no initial snapshot, an
-    inconsistent architecture, a missing or unusable schedule value
-    (iteration, rate, scope) or unusable env or env_max_steps, non-finite
-    weights or biases, or nonzero live weights under a False mask."""
+    missing or malformed field (an input shape, output count or layer
+    size that is not a JSON integer among them), no masks or no initial
+    snapshot, an inconsistent architecture, a missing or unusable
+    schedule value (iteration, rate, scope) or unusable env or
+    env_max_steps, non-finite weights or biases, or nonzero live weights
+    under a False mask."""
     data = Path(path).read_bytes()
     if len(data) < 16:
         raise CheckpointError(f"{path}: truncated: {len(data)} bytes")
@@ -137,11 +139,16 @@ def load_checkpoint(path: str | Path) -> tuple[PrunableWeights, dict[str, Any]]:
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
     try:
+        # NetworkSpec and int() would truncate 4.7 or "4" to 4
+        input_shape, n_output = header["input_shape"], header["n_output"]
+        if not (isinstance(input_shape, list)
+                and all(type(v) is int for v in input_shape)
+                and type(n_output) is int):
+            raise ValueError(f"input_shape and n_output must be integers: "
+                             f"{input_shape!r}, {n_output!r}")
         spec = NetworkSpec(
             layers=tuple(_layer_from_dict(d) for d in header["layers"]),
-            input_shape=tuple(header["input_shape"]),
-            n_output=int(header["n_output"]),
-        )
+            input_shape=tuple(input_shape), n_output=n_output)
         if not (header["has_masks"] is True and header["has_initial"] is True):
             raise ValueError("has_masks and has_initial must both be true")
         extra = header["extra"]

@@ -19,6 +19,8 @@ A step is one loop over the rows, input first, and every row runs the same
 lines: its layer takes in the events of the row above, applies its
 activation and gates the result inline by the one rule above. Once a row
 after the first step sends nothing, no row below it can, and the loop stops.
+A row gathers its deltas only for a layer below it or for a trace, so the
+output row gathers them only when a trace is open.
 
 Events update accumulators in place; no layer is re-run. A conv layer marks
 the output positions its events touch through a footprint table, the inverse
@@ -29,13 +31,15 @@ and looks each up once; the others look up each event. The layer writes the
 deltas into a zero delta image of its input, reads the affected positions'
 rows of the position-major ``(n_pos, C*Ky*Kx)`` im2col table
 (``im2col_table``) and through them the ``(n_affected, C*Ky*Kx)`` delta
-block, and adds ``w2 @ block.T`` into those columns of the ``(F, n_pos)``
-accumulator view. The image is zeroed again. At full event density this is
-the im2col GEMM of the dense pass, so there is no fallback path. A dense
-layer keeps its masked weights as one (in, out) C-order array. When at most
-``DENSE_FULL_FRACTION`` of its inputs fired it adds ``deltas @ w[fired]``,
-gathering the fired rows in blocks of about ``DENSE_BLOCK_BYTES`` so that
-each block is still in cache when its product reads it; above it, the full
+block. The product ``w2 @ block.T`` takes in those columns of the
+``(F, n_pos)`` accumulator view in place and is written back to them once.
+The image is zeroed again. At full event density this is the im2col GEMM of
+the dense pass, so there is no fallback path. A dense layer keeps its masked
+weights as one (in, out) C-order array. When at most
+``DENSE_FULL_FRACTION`` of its inputs fired it adds ``deltas @ w[fired]``:
+one product when the fired rows fit in one block of about
+``DENSE_BLOCK_BYTES``, otherwise one product per block, so that each block
+is still in cache when its product reads it; above it, the full
 ``delta_vector @ w`` over a zero vector holding the deltas, which is the
 faster of the two there. Zero deltas and masked (zero) weights
 add exact zeros on every path, so an output that no fired input reaches
@@ -54,7 +58,8 @@ Accumulator additions are not counted. Where every input of a layer costs
 the same number of multiplications, as in a dense layer with no masked
 weight, a step counts its events times that cost; elsewhere (conv layers,
 whose border inputs cost less, and masked dense layers) it sums the costs of
-the fired inputs. Events consumed from the input are attributed to the first
+the fired inputs, in Python for fewer than ``PYTHON_SUM_BELOW`` events and
+with numpy above. Events consumed from the input are attributed to the first
 weighted layer; the Input row of the counter tracks event traffic only. A
 layer receives exactly the events the row before it sent.
 
@@ -91,6 +96,15 @@ from .network import (LayerSpec, NetworkSpec, WeightSet, check_finite,
 DENSE_FULL_FRACTION = 0.55
 DENSE_BLOCK_BYTES = 512 * 1024
 
+# A layer whose inputs cost unequal amounts counts fewer than PYTHON_SUM_BELOW
+# events with sum(costs[idx].tolist()) and more with int(costs[idx].sum()),
+# whose reduction set-up costs more than a short Python sum. Best of 7 timeit
+# repeats on a shared 2-vCPU Xeon, int64 costs of 400-12,800 inputs: 64 events
+# 1.03-1.06 against 1.40-1.50 us, 128 events 1.83-1.93 against 1.53-1.58; they
+# tie near 90. The desk conv receives about 7 events per step, the reference
+# conv layers 480-1,350.
+PYTHON_SUM_BELOW = 80
+
 
 class OpCounter:
     """Per-layer tallies of significant multiplications and events sent.
@@ -125,8 +139,9 @@ class OpCounter:
 
 @dataclass(eq=False, slots=True)
 class _Layer:
-    """One weighted layer of a DeltaNetwork: constants, reusable buffers and
-    flat episode state. The delta buffers are zero again after every step."""
+    """One weighted layer of a DeltaNetwork: constants, reusable buffers,
+    views of them made once at construction, and flat episode state. The
+    delta buffers and the marks are zero again after every step."""
 
     spec: LayerSpec
     conv: bool
@@ -142,13 +157,15 @@ class _Layer:
     x: np.ndarray           # flat last transmitted activation, starts at zero
     # conv only: the footprint and im2col tables, the (F, C*Ky*Kx) weights,
     # the (F, n_pos) view of o, a mark per output position plus a spare one
-    # for unused footprint slots, and, where events are looked up per
-    # spatial position, a mark per input position
+    # for unused footprint slots, the view of the output positions' marks,
+    # and, where events are looked up per spatial position, a mark per
+    # input position
     out_pos: np.ndarray | None = None
     cols: np.ndarray | None = None
     w2: np.ndarray | None = None
     o2: np.ndarray | None = None
     mark: np.ndarray | None = None
+    marked: np.ndarray | None = None
     seen: np.ndarray | None = None
 
 
@@ -203,10 +220,9 @@ class DeltaNetwork:
             if layer.kind == "conv2d":
                 kernel = layer.weight_shape()[1:]
                 out_pos = _conv_footprint(kernel, in_shape, layer.stride)
-                conv = dict(out_pos=out_pos,
-                            o2=bufs["o"].reshape(layer.out_filters, -1),
-                            mark=np.zeros(n_out // layer.out_filters + 1,
-                                          dtype=bool))
+                mark = np.zeros(n_out // layer.out_filters + 1, dtype=bool)
+                conv = dict(out_pos=out_pos, mark=mark, marked=mark[:-1],
+                            o2=bufs["o"].reshape(layer.out_filters, -1))
                 # one lookup per spatial position pays once the channels
                 # outnumber the slots each position's row fills
                 if layer.in_channels > out_pos.shape[1]:
@@ -234,6 +250,7 @@ class DeltaNetwork:
             in_shape = out_shape
 
         self._receivers = (*self.layers, None)
+        self._out = self.layers[-1].x
         self.input_prev = np.empty(int(np.prod(spec.input_shape)))
         self.counter = OpCounter(spec.layer_names())
         self.reset_state()
@@ -271,7 +288,8 @@ class DeltaNetwork:
             idx = ((d != 0.0) if t == 0.0 else (np.abs(d) >= t)).nonzero()[0]
             n = idx.size
             if n:
-                deltas = d[idx]
+                # only a layer below or a trace reads the deltas
+                deltas = d[idx] if L is not None or trace is not None else None
                 sent[idx] = value[idx]
                 events[k] += n
                 if trace is not None:
@@ -292,18 +310,24 @@ class DeltaNetwork:
                     dvec[idx] = deltas
                     o += dvec @ L.w
                     dvec[idx] = 0.0
+                elif n <= L.block_rows:
+                    o += deltas @ L.w.take(idx, axis=0)
                 else:
                     b = L.block_rows
                     for lo in range(0, n, b):
                         o += deltas[lo:lo + b] @ L.w.take(idx[lo:lo + b], axis=0)
-                mults[k] += (n * L.cost if L.cost is not None
-                             else int(L.costs[idx].sum()))
+                if L.cost is not None:
+                    mults[k] += n * L.cost
+                elif n < PYTHON_SUM_BELOW:
+                    mults[k] += sum(L.costs[idx].tolist())
+                else:
+                    mults[k] += int(L.costs[idx].sum())
             value = o if L.act is None else np.maximum(o, 0.0, out=L.act)
             sent = L.x
 
         self._first_step = False
         ctr.timesteps += 1
-        return self.layers[-1].x.copy()
+        return self._out.copy()
 
     def _conv_update(self, L: _Layer, idx: np.ndarray,
                      deltas: np.ndarray) -> None:
@@ -311,24 +335,26 @@ class DeltaNetwork:
         accumulator, at the output positions the events touch only."""
         mark, dimg, seen = L.mark, L.zero_deltas, L.seen
         if seen is None:
-            pos = L.out_pos[idx]
+            pos = L.out_pos.take(idx, axis=0)
         else:
             # the distinct spatial positions of the events; the footprint
             # rows of channel 0 serve every channel
             seen[idx % seen.size] = True
             at = seen.nonzero()[0]
             seen[at] = False
-            pos = L.out_pos[at]
+            pos = L.out_pos.take(at, axis=0)
         mark[pos] = True
-        affected = mark[:-1].nonzero()[0]
+        affected = L.marked.nonzero()[0]
         mark[pos] = False
         dimg[idx] = deltas
         # the affected positions' whole im2col rows; their (F, n_affected)
-        # product adds into those columns of every filter (take then assign
-        # is the faster form of += here)
+        # product takes in the old columns in place and is assigned once
+        # (IEEE addition commutes, so this is o2[:, affected] += product)
         blk = dimg.take(L.cols.take(affected, axis=0))
         o2 = L.o2
-        o2[:, affected] = o2.take(affected, axis=1) + L.w2 @ blk.T
+        prod = L.w2 @ blk.T
+        prod += o2.take(affected, axis=1)
+        o2[:, affected] = prod
         dimg[idx] = 0.0
 
     def resync(self) -> None:

@@ -177,6 +177,10 @@ BAD_HEADERS = {
     "unknown-layer-kind": _set_layer(0, "kind", "pool"),
     "non-chaining-shape": _set_layer(1, "in_size", 7),
     "fractional-kernel": _set_layer(0, "kernel_x", 2.5),
+    "fractional-n-output": lambda h: {**h, "n_output": h["n_output"] + 0.7},
+    "string-n-output": lambda h: {**h, "n_output": str(h["n_output"])},
+    "fractional-input-shape": lambda h: {
+        **h, "input_shape": [h["input_shape"][0] + 0.9, *h["input_shape"][1:]]},
     "layer-not-object": lambda h: {**h, "layers": [1, 2, 3]},
     "extra-not-object": lambda h: {**h, "extra": [1]},
     "header-not-object": lambda h: [h],

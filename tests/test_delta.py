@@ -449,7 +449,7 @@ def dense(n_in, n_out, activation="relu"):
 # inputs feed nothing) and identity activations between relu layers. A conv
 # whose in_channels exceed its ceil(Ky/s)*ceil(Kx/s) footprint slots looks
 # its events up per spatial position, the others per event; every spec but
-# 2conv-s4-nonsquare has one of each kind
+# 2conv-s4-nonsquare and conv-count-cutoff has one of each kind
 SWEEP_SPECS = {
     "3conv-s2-nonsquare": NetworkSpec(
         layers=(conv(2, 3, 4, 3, 2), conv(3, 4, 2, 3, 1, "identity"),
@@ -469,6 +469,11 @@ SWEEP_SPECS = {
         layers=(conv(5, 6, 3, 3, 2), conv(6, 3, 2, 2, 2), dense(12, 4),
                 dense(4, 2, "identity")),
         input_shape=(5, 11, 9), n_output=2),
+    # 162 inputs, so a step can send its conv more events than
+    # delta.PYTHON_SUM_BELOW as well as fewer (burst_stream)
+    "conv-count-cutoff": NetworkSpec(
+        layers=(conv(2, 4, 3, 3, 1), dense(196, 6), dense(6, 3, "identity")),
+        input_shape=(2, 9, 9), n_output=3),
 }
 WHOLE_COLUMN_STREAMS = {"2conv-channels-over-slots"}
 
@@ -485,6 +490,18 @@ def sweep_stream(rng, shape, n_frames=7, whole_columns=False):
         else:
             pos = rng.integers(0, frame.size, size=int(rng.integers(0, 8)))
         frame.ravel()[pos] = rng.normal(size=pos.size)
+        frames.append(frame.copy())
+    return frames
+
+
+def burst_stream(rng, shape, n_frames=12):
+    """A random first frame, then frames that change 1-3 random entries and
+    100-140 random entries in turn."""
+    frames, frame = [], rng.normal(size=shape)
+    for i in range(n_frames):
+        n = int(rng.integers(100, 141) if i % 2 else rng.integers(1, 4))
+        pos = rng.choice(frame.size, size=n, replace=False)
+        frame.ravel()[pos] = rng.normal(size=n)
         frames.append(frame.copy())
     return frames
 
@@ -511,6 +528,38 @@ class TestGeometrySweep:
             assert ctr.events_sent[:-1].tolist() == ref.events_received
             assert ctr.events_sent.tolist() == ref.events_sent
             assert ctr.timesteps == len(frames)
+            for got, want in zip(outs, ref.outputs):
+                np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("t_val", [0.0, 0.05])
+    def test_count_cutoff_and_single_block_match_oracle(self, t_val):
+        # the masked conv counts some steps' events with a Python sum and
+        # others' with numpy's; a dense layer whose fired rows fit in one
+        # block, and are at most DENSE_FULL_FRACTION of its inputs, adds
+        # them as one product
+        spec = SWEEP_SPECS["conv-count-cutoff"]
+        rng = np.random.default_rng(26)
+        for trial in range(3):
+            w = init_weights(spec, rng)
+            masks = random_masks(spec, rng, density=0.6)
+            frames = burst_stream(rng, spec.input_shape)
+            dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
+            assert dn.layers[0].cost is None
+            received, outs = [], []
+            for f in frames:
+                before = dn.counter.events_sent[:-1].copy()
+                outs.append(dn.step(f))
+                received.append(dn.counter.events_sent[:-1] - before)
+            conv_in = [int(r[0]) for r in received[1:]]
+            assert any(0 < n < delta.PYTHON_SUM_BELOW for n in conv_in)
+            assert any(n >= delta.PYTHON_SUM_BELOW for n in conv_in)
+            assert any(0 < r[k] <= min(L.full_from, L.block_rows)
+                       for r in received
+                       for k, L in enumerate(dn.layers) if not L.conv)
+            ref = naive_delta_run(spec, w, masks, t_val, None, frames)
+            ctr = dn.counter
+            assert ctr.significant_multiplications[1:].tolist() == ref.mults
+            assert ctr.events_sent.tolist() == ref.events_sent
             for got, want in zip(outs, ref.outputs):
                 np.testing.assert_allclose(got, want, atol=1e-9)
 

@@ -8,7 +8,12 @@ layer's accumulator `o` and transmitted values `x`, then the engine's two
 counter arrays. Two commits that print the same digests did the same
 arithmetic bit for bit on these streams.
 
-    PYTHONPATH=src python3 tools/engine_digest.py --seed 1
+    PYTHONPATH=src python3 tools/engine_digest.py --seed 1 > before.txt
+    PYTHONPATH=src python3 tools/engine_digest.py --seed 1 --compare before.txt
+
+With --compare FILE, a saved output of this tool, the run still prints its
+digests, then names on stderr each (workload, threshold) pair whose digest
+differs from the file's or is missing from it, and exits 1 if there is one.
 
 BLAS is pinned to one thread, as in bench/run.py, because T=0 counts
 depend on float summation order.
@@ -47,11 +52,29 @@ def digest(setup: workloads.DeltaSetup, label: str) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--compare", type=Path, metavar="FILE",
+                    help="a saved output of this tool to check the run against")
     args = ap.parse_args()
+    saved = None
+    if args.compare is not None:
+        try:
+            text = args.compare.read_text()
+        except OSError as e:
+            sys.exit(f"cannot read {args.compare}: {e}")
+        rows = [line.split("\t") for line in text.splitlines()]
+        if not rows or any(len(row) != 3 for row in rows):
+            sys.exit(f"{args.compare}: not a saved output of this tool")
+        saved = {(name, label): d for name, label, d in rows}
+    differ = []
     for name, scale in workloads.DELTA_SCALES.items():
         setup = workloads.setup_delta(args.seed, scale)
         for label in setup.engines:
-            print(f"{name}\t{label}\t{digest(setup, label)}")
+            d = digest(setup, label)
+            print(f"{name}\t{label}\t{d}")
+            if saved is not None and saved.get((name, label)) != d:
+                differ.append(f"{name} {label}")
+    if differ:
+        sys.exit(f"digests differ from {args.compare}: {', '.join(differ)}")
 
 
 if __name__ == "__main__":
