@@ -81,7 +81,8 @@ class ReplayBuffer:
     (the replay memory layout of Mnih et al., Nature 2015); batches are
     float64. `add` rejects a state of the wrong shape, or one that uint8
     does not hold exactly (NaN, infinity, negative, above 255 or not an
-    integer), before it writes anything.
+    integer), an action that is not a non-negative integer, a done flag
+    that is not a bool and a non-finite reward, before it writes anything.
     """
 
     def __init__(self, capacity: int, state_shape: tuple[int, ...]):
@@ -102,6 +103,11 @@ class ReplayBuffer:
 
     def add(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray,
             done: bool) -> None:
+        # bool is an int subclass; np.bool_ is not an np.integer
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or a < 0:
+            raise ValueError(f"action {a!r} is not a non-negative integer")
+        if not isinstance(done, (bool, np.bool_)):
+            raise ValueError(f"done flag {done!r} is not a bool")
         if not np.isfinite(r):
             raise ValueError("non-finite reward")
         s, s_next = np.asarray(s), np.asarray(s_next)
@@ -434,6 +440,13 @@ def _flat_views(spec: NetworkSpec, flat: np.ndarray) -> WeightSet:
     return WeightSet(views[:n], views[n:])
 
 
+def _check_outputs(spec: NetworkSpec, env: Environment) -> None:
+    """A network acts on `env` only with one output per action."""
+    if spec.n_output != env.n_actions:
+        raise ValueError(f"network has {spec.n_output} outputs, "
+                         f"env has {env.n_actions} actions")
+
+
 def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
           cfg: TrainingConfig, rng: np.random.Generator) -> TrainResult:
     """Gradient-train the live weights of `p` in place on `env`; returns
@@ -441,12 +454,15 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
 
     Masked weights get zero gradient and are re-zeroed after each update.
     Training works on private flat vectors; the trained values are copied
-    back into `p.live`'s own arrays on return, also when it raises.
-    Raises TrainingDiverged if the loss goes non-finite.
+    back into `p.live`'s own arrays on return, also when it raises. The
+    replay buffer and the target cache hold min(buffer_capacity, steps)
+    transitions. Raises ValueError if the network does not fit the env's
+    frames or actions, and TrainingDiverged if the loss goes non-finite.
     """
     if spec.input_shape != env.state_shape:
         raise ValueError(
             f"network input {spec.input_shape} != env state {env.state_shape}")
+    _check_outputs(spec, env)
     p.apply()
     n_params = sum(l.param_count() for l in spec.layers)
     theta, theta_target = np.empty(n_params), np.empty(n_params)
@@ -461,8 +477,12 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
     masked = np.flatnonzero(np.concatenate([~m.ravel() for m in p.masks]))
     target = _flat_views(spec, theta_target)
     opt = Adam(theta, lr=cfg.learning_rate)
-    buffer = ReplayBuffer(cfg.buffer_capacity, env.state_shape)
-    cache = TargetCache(cfg.buffer_capacity, env.n_actions)
+    # The run adds `steps` transitions, so more slots would never be
+    # written: the slot position does not wrap before the last add, and
+    # every add, sample and lookup is the one a full-capacity buffer makes.
+    slots = min(cfg.buffer_capacity, max(cfg.steps, 1))
+    buffer = ReplayBuffer(slots, env.state_shape)
+    cache = TargetCache(slots, env.n_actions)
     result = TrainResult()
 
     try:
@@ -533,6 +553,7 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    _check_outputs(spec, env)
     if mode == "dense":
         def act(state: np.ndarray) -> int:
             return greedy_action(spec, weights, state)

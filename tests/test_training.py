@@ -145,27 +145,32 @@ class TestReplayBuffer:
         assert stat < 72.1
 
     def test_wrapped_buffer_samples_only_written_transitions(self):
-        buf = ReplayBuffer(7, (2, 3, 3))
-        written = {}
-        for i in range(19):  # wraps twice: the slots hold i = 12..18
-            # no state repeats, so every add writes two frames: the ring's
-            # worst case
-            s = np.full((2, 3, 3), 2.0 * i)
-            buf.add(s, i % 3, float(i), s + 1.0, i % 4 == 0)
-            written[i] = (i % 3, i % 4 == 0)
-        rng = np.random.default_rng(3)
-        seen = set()
-        for _ in range(60):
-            batch = buf.sample(7, rng)
-            for s, a, r, s2, d in zip(batch.states, batch.actions,
-                                      batch.rewards, batch.next_states,
-                                      batch.dones):
-                i = int(r)
-                assert 12 <= i <= 18  # the last `capacity` transitions
-                assert np.all(s == 2 * i) and np.all(s2 == 2 * i + 1)
-                assert (a, d) == written[i]
-                seen.add(i)
-        assert seen == set(range(12, 19))
+        # (capacity, adds, an episode ends every `end_every` adds): a buffer
+        # that wraps twice, and one of a run's own size whose every add
+        # starts an episode, so it writes the most frames and fills the ring
+        for capacity, n, end_every in ((7, 19, 4), (19, 19, 1)):
+            buf = ReplayBuffer(capacity, (2, 3, 3))
+            written = {}
+            for i in range(n):
+                # no state repeats, so every add writes two frames: the
+                # ring's worst case
+                s = np.full((2, 3, 3), 2.0 * i)
+                buf.add(s, i % 3, float(i), s + 1.0, i % end_every == 0)
+                written[i] = (i % 3, i % end_every == 0)
+            assert buf.n_frames == 2 * n
+            rng = np.random.default_rng(3)
+            seen = set()
+            for _ in range(60):
+                batch = buf.sample(7, rng)
+                for s, a, r, s2, d in zip(batch.states, batch.actions,
+                                          batch.rewards, batch.next_states,
+                                          batch.dones):
+                    i = int(r)
+                    assert n - capacity <= i < n  # the last `capacity` adds
+                    assert np.all(s == 2 * i) and np.all(s2 == 2 * i + 1)
+                    assert (a, d) == written[i]
+                    seen.add(i)
+            assert seen == set(range(n - capacity, n))
 
     def test_episode_shares_frames_between_transitions(self):
         env = make_env("mini-breakout", seed=4, max_steps=40)
@@ -189,11 +194,22 @@ class TestReplayBuffer:
             tracemalloc.stop()
         assert peak <= 16 * 2 ** 20
 
+    @staticmethod
+    def assert_rejected(s, a, r, s_next, done, match):
+        """`add` raises ValueError and writes nothing."""
+        buf = ReplayBuffer(3, (4, 10, 10))
+        buf.add(np.ones((4, 10, 10)), 1, 1.0, np.ones((4, 10, 10)), False)
+        before = [x.copy() for x in (buf.frames, buf.at, buf.a, buf.r, buf.done)]
+        with pytest.raises(ValueError, match=match):
+            buf.add(s, a, r, s_next, done)
+        assert (buf.size, buf.pos, buf.n_frames) == (1, 1, 2)
+        after = (buf.frames, buf.at, buf.a, buf.r, buf.done)
+        for x, y in zip(before, after):  # no slot was written
+            assert x.tobytes() == y.tobytes()
+
     def test_rejects_nonfinite_reward(self):
-        buf = ReplayBuffer(4, (1, 1, 1))
-        with pytest.raises(ValueError):
-            buf.add(np.zeros((1, 1, 1)), 0, float("nan"), np.zeros((1, 1, 1)),
-                    False)
+        zeros = np.zeros((4, 10, 10))
+        self.assert_rejected(zeros, 0, float("nan"), zeros, False, "reward")
 
     @pytest.mark.parametrize("s, s_next", [
         (np.zeros((10, 10)), np.zeros((4, 10, 10))),        # broadcasts
@@ -212,15 +228,32 @@ class TestReplayBuffer:
     ])
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_rejects_states_it_cannot_hold(self, s, s_next):
-        buf = ReplayBuffer(3, (4, 10, 10))
-        buf.add(np.ones((4, 10, 10)), 1, 1.0, np.ones((4, 10, 10)), False)
-        before = [a.copy() for a in (buf.frames, buf.at, buf.a, buf.r, buf.done)]
-        with pytest.raises(ValueError, match="state"):
-            buf.add(s, 0, 0.0, s_next, True)
-        assert (buf.size, buf.pos, buf.n_frames) == (1, 1, 2)
-        after = (buf.frames, buf.at, buf.a, buf.r, buf.done)
-        for a, b in zip(before, after):  # no slot was written
-            assert a.tobytes() == b.tobytes()
+        self.assert_rejected(s, 0, 0.0, s_next, True, "state")
+
+    @pytest.mark.parametrize("a, done, match", [
+        (1.7, False, "action"),             # would be stored as 1
+        (1.0, False, "action"),
+        (-1, False, "action"),              # would index the last action
+        (np.int64(-2), False, "action"),
+        (True, False, "action"),            # would be stored as 1
+        (np.bool_(True), False, "action"),
+        ("1", False, "action"),
+        (0, "no", "done"),                  # would be stored as True
+        (0, 1, "done"),
+        (0, None, "done"),
+    ])
+    def test_rejects_actions_and_done_flags_it_cannot_hold(self, a, done, match):
+        zeros = np.zeros((4, 10, 10))
+        self.assert_rejected(zeros, a, 0.0, zeros, done, match)
+
+    def test_holds_integer_actions_and_bool_flags(self):
+        buf = ReplayBuffer(4, (1, 1, 1))
+        s = np.zeros((1, 1, 1))
+        for a, done in ((0, False), (np.int64(2), np.bool_(True)),
+                        (np.int32(5), True), (7, np.False_)):
+            buf.add(s, a, 0.0, s, done)
+        assert buf.a.tolist() == [0, 2, 5, 7]
+        assert buf.done.tolist() == [False, True, True, False]
 
     @pytest.mark.parametrize("name", ["mini-breakout", "mini-invaders"])
     def test_holds_both_games_states_exactly(self, name):
@@ -668,6 +701,71 @@ class TestTrain:
         assert any(not np.array_equal(a, b, equal_nan=True)
                    for a, b in zip(p.live.weights, init))
 
+    def test_run_sized_reserve_trains_the_same_bits(self, monkeypatch):
+        # 400 steps with a capacity well above the run, equal to it, and
+        # with a full-capacity buffer and cache forced in
+        def run(capacity):
+            env, spec, p, cfg, rng = self.make(seed=8)
+            cfg.buffer_capacity = capacity
+            res = train(env, spec, p, cfg, rng)
+            return res, p.live.weights + p.live.biases
+
+        runs = [run(5000), run(400)]
+        with monkeypatch.context() as m:
+            m.setattr(training, "ReplayBuffer",
+                      lambda capacity, shape: ReplayBuffer(5000, shape))
+            m.setattr(training, "TargetCache",
+                      lambda capacity, n: TargetCache(5000, n))
+            runs.append(run(5000))
+        (ref, ref_arrays), *others = runs
+        assert ref.gradient_steps > 0
+        for res, arrays in others:
+            assert res.gradient_steps == ref.gradient_steps
+            assert np.float64(res.final_loss).tobytes() == \
+                np.float64(ref.final_loss).tobytes()
+            for a, b in zip(arrays, ref_arrays):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("capacity, steps, slots", [
+        (20000, 300, 300), (150, 300, 150), (300, 300, 300), (20000, 0, 1)])
+    def test_reserves_the_run_not_the_capacity(self, monkeypatch, capacity,
+                                               steps, slots):
+        made = []
+
+        def recording(cls):
+            class Recording(cls):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    made.append(self)
+            return Recording
+
+        monkeypatch.setattr(training, "ReplayBuffer", recording(ReplayBuffer))
+        monkeypatch.setattr(training, "TargetCache", recording(TargetCache))
+        env, spec, p, cfg, rng = self.make(seed=2, steps=steps)
+        cfg.buffer_capacity = capacity
+        train(env, spec, p, cfg, rng)
+        buf, cache = made
+        assert buf.capacity == slots and len(buf.frames) == 2 * slots
+        assert cache.q.shape == (slots, env.n_actions)
+        assert buf.size == min(steps, slots)
+
+    @pytest.mark.parametrize("name, n_output", [("mini-invaders", 3),
+                                                ("mini-breakout", 4)])
+    def test_rejects_network_outputs_that_do_not_match_actions(self, name,
+                                                               n_output):
+        env = make_env(name, seed=1, max_steps=60)
+        spec = build_scaled_dqn(env.state_shape, n_output, conv_filters=4,
+                                dense_hidden=16)
+        rng = np.random.default_rng(1)
+        p = PrunableWeights.create(spec, init_weights(spec, rng), rate=0.3)
+        cfg = TrainingConfig(steps=100, min_buffer=20, batch_size=8)
+        before = [a.copy() for a in p.live.weights]
+        with pytest.raises(ValueError, match=f"{n_output} outputs, env has "
+                                             f"{env.n_actions} actions"):
+            train(env, spec, p, cfg, rng)
+        for a, b in zip(p.live.weights, before):
+            assert np.array_equal(a, b)
+
     def test_epsilon_schedule_linear(self):
         cfg = TrainingConfig(epsilon_start=1.0, epsilon_end=0.1,
                              epsilon_decay_steps=100)
@@ -769,6 +867,19 @@ class TestEvaluate:
         t = res.counter.timesteps
         assert t > 0
         assert calls == {"step": t, "check_finite": n_arrays + t}
+
+    @pytest.mark.parametrize("mode", ["dense", "delta"])
+    @pytest.mark.parametrize("name, n_output", [("mini-invaders", 3),
+                                                ("mini-breakout", 4)])
+    def test_rejects_network_outputs_that_do_not_match_actions(self, name,
+                                                               n_output, mode):
+        env = make_env(name, seed=1, max_steps=80)
+        spec = build_scaled_dqn(env.state_shape, n_output, conv_filters=4,
+                                dense_hidden=16)
+        w = init_weights(spec, np.random.default_rng(1))
+        with pytest.raises(ValueError, match=f"{n_output} outputs, env has "
+                                             f"{env.n_actions} actions"):
+            evaluate(env, spec, w, episodes=2, mode=mode)
 
     def test_episode_validation(self):
         env, spec, w = self.setup_pair(seed=13)
