@@ -35,15 +35,12 @@ block. The product ``w2 @ block.T`` takes in those columns of the
 ``(F, n_pos)`` accumulator view in place and is written back to them once.
 The image is zeroed again. At full event density this is the im2col GEMM of
 the dense pass, so there is no fallback path. A dense layer keeps its masked
-weights as one (in, out) C-order array. When at most
-``DENSE_FULL_FRACTION`` of its inputs fired it adds ``deltas @ w[fired]``:
-one product when the fired rows fit in one block of about
-``DENSE_BLOCK_BYTES``, otherwise one product per block, so that each block
-is still in cache when its product reads it; above it, the full
-``delta_vector @ w`` over a zero vector holding the deltas, which is the
-faster of the two there. Zero deltas and masked (zero) weights
-add exact zeros on every path, so an output that no fired input reaches
-through a live weight keeps its accumulator bit for bit.
+weights as one (in, out) C-order array and adds ``deltas @ w[fired]``: one
+product when the fired rows fit in one block of about ``DENSE_BLOCK_BYTES``,
+otherwise one product per block, so that each block is still in cache when
+its product reads it. Zero deltas and masked (zero) weights add exact
+zeros, so an output that no fired input reaches through a live weight keeps
+its accumulator bit for bit.
 
 Timestep semantics are synchronous: a layer absorbs every event of the
 current step before its neurons decide whether to fire, which makes outputs
@@ -81,19 +78,12 @@ import numpy as np
 from .network import (LayerSpec, NetworkSpec, WeightSet, check_finite,
                       im2col_table)
 
-# A dense layer adds the full product (delta vector) @ w, zeros included,
-# once more than DENSE_FULL_FRACTION of its inputs fired in a step; up to it
-# it adds deltas @ w[fired], gathering DENSE_BLOCK_BYTES of rows at a time so
-# that each block is still in cache when its product reads it (one gather of
-# 1,220 rows of a (3136, 512) layer is 5 MB). Median us, one OpenBLAS thread
-# on a shared 2-vCPU Xeon, half-masked random weights:
-#   (3136, 512): full 501-525; at 0.40 fired one gather 650, 512 KB blocks
-#     330; blocks 505 at 0.55 and 515 at 0.60;
-#   (1024, 128): full 21-23; one 512 KB block 19.3 at 0.30, 24.8 at 0.40.
-# Blocks of 256 KB and 1 MB were no faster in the engine's step. The (1024,
-# 128) crossover is lower, but fewer than 3% of delta-desk steps fire more
-# than 30% of its inputs, and its step time did not move between 0.30 and 0.55.
-DENSE_FULL_FRACTION = 0.55
+# A dense layer adds deltas @ w[fired], gathering DENSE_BLOCK_BYTES of rows
+# at a time so that each block is still in cache when its product reads it
+# (one gather of 1,220 rows of a (3136, 512) layer is 5 MB). Median us at
+# 0.40 fired, one OpenBLAS thread on a shared 2-vCPU Xeon, half-masked random
+# (3136, 512) weights: one gather 650, 512 KB blocks 330. Blocks of 256 KB and
+# 1 MB were no faster in the engine's step.
 DENSE_BLOCK_BYTES = 512 * 1024
 
 # A layer whose inputs cost unequal amounts counts fewer than PYTHON_SUM_BELOW
@@ -141,7 +131,7 @@ class OpCounter:
 class _Layer:
     """One weighted layer of a DeltaNetwork: constants, reusable buffers,
     views of them made once at construction, and flat episode state. The
-    delta buffers and the marks are zero again after every step."""
+    conv delta image and the marks are zero again after every step."""
 
     spec: LayerSpec
     conv: bool
@@ -149,21 +139,20 @@ class _Layer:
     b: np.ndarray
     costs: np.ndarray       # significant multiplications per flat input event
     cost: int | None        # every input event's cost where all are equal, else None
-    zero_deltas: np.ndarray  # a zero delta image (conv) or vector (dense) of the input
-    full_from: float        # fired inputs above which a dense layer takes the full product
     block_rows: int         # dense: weight rows gathered per block of DENSE_BLOCK_BYTES
     act: np.ndarray | None  # relu output buffer; None for identity
     o: np.ndarray           # flat running pre-activation, starts at the bias
     x: np.ndarray           # flat last transmitted activation, starts at zero
     # conv only: the footprint and im2col tables, the (F, C*Ky*Kx) weights,
-    # the (F, n_pos) view of o, a mark per output position plus a spare one
-    # for unused footprint slots, the view of the output positions' marks,
-    # and, where events are looked up per spatial position, a mark per
-    # input position
+    # the (F, n_pos) view of o, a zero delta image of the input, a mark per
+    # output position plus a spare one for unused footprint slots, the view
+    # of the output positions' marks, and, where events are looked up per
+    # spatial position, a mark per input position
     out_pos: np.ndarray | None = None
     cols: np.ndarray | None = None
     w2: np.ndarray | None = None
     o2: np.ndarray | None = None
+    dimg: np.ndarray | None = None
     mark: np.ndarray | None = None
     marked: np.ndarray | None = None
     seen: np.ndarray | None = None
@@ -213,11 +202,12 @@ class DeltaNetwork:
             # the small long-lived buffers before the large temporaries
             # below: allocated after them, they fragment the glibc heap
             # (peak RSS +12 MB over five reference-scale engine sets)
-            bufs = dict(zero_deltas=np.zeros(n_in),
+            is_conv = layer.kind == "conv2d"
+            bufs = dict(dimg=np.zeros(n_in) if is_conv else None,
                         act=np.empty(n_out) if layer.activation == "relu" else None,
                         o=np.empty(n_out), x=np.empty(n_out))
             conv = {}
-            if layer.kind == "conv2d":
+            if is_conv:
                 kernel = layer.weight_shape()[1:]
                 out_pos = _conv_footprint(kernel, in_shape, layer.stride)
                 mark = np.zeros(n_out // layer.out_filters + 1, dtype=bool)
@@ -242,9 +232,8 @@ class DeltaNetwork:
             # layer; a conv layer's border inputs cost less
             cost = int(costs[0]) if costs.min() == costs.max() else None
             self.layers.append(_Layer(
-                spec=layer, conv=layer.kind == "conv2d", w=w,
+                spec=layer, conv=is_conv, w=w,
                 b=weights.biases[i].copy(), costs=costs, cost=cost,
-                full_from=DENSE_FULL_FRACTION * n_in,
                 block_rows=max(1, DENSE_BLOCK_BYTES // w[0].nbytes),
                 **bufs, **conv))
             in_shape = out_shape
@@ -305,11 +294,6 @@ class DeltaNetwork:
             if n:
                 if L.conv:
                     self._conv_update(L, idx, deltas)
-                elif n > L.full_from:
-                    dvec = L.zero_deltas
-                    dvec[idx] = deltas
-                    o += dvec @ L.w
-                    dvec[idx] = 0.0
                 elif n <= L.block_rows:
                     o += deltas @ L.w.take(idx, axis=0)
                 else:
@@ -333,7 +317,7 @@ class DeltaNetwork:
                      deltas: np.ndarray) -> None:
         """Add the effect of input events (idx, deltas) to conv layer L's
         accumulator, at the output positions the events touch only."""
-        mark, dimg, seen = L.mark, L.zero_deltas, L.seen
+        mark, dimg, seen = L.mark, L.dimg, L.seen
         if seen is None:
             pos = L.out_pos.take(idx, axis=0)
         else:

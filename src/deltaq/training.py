@@ -277,7 +277,13 @@ def q_loss_and_grads(spec: NetworkSpec, w: WeightSet, states: np.ndarray,
                      grads: WeightSet | None = None):
     """Mean Huber loss between Q(s, a) and fixed targets, plus its analytic
     gradients wrt every weight and bias (written into `grads` if given, see
-    `backward_batch`)."""
+    `backward_batch`). Raises ValueError for an action outside
+    [0, n_output), which would otherwise index past Q or, if negative, wrap
+    round to another action's Q-value."""
+    n = spec.n_output
+    if actions.min() < 0 or actions.max() >= n:
+        bad = actions[(actions < 0) | (actions >= n)][0]
+        raise ValueError(f"action {bad} outside [0, {n}) of the network's outputs")
     b = states.shape[0]
     q, caches = forward_batch(spec, w, states, want_caches=True)
     q_a = q[np.arange(b), actions]

@@ -480,6 +480,18 @@ class TestGradients:
         with pytest.raises(ValueError, match="C-contiguous"):
             q_loss_and_grads(spec, w, states, actions, targets, grads=strided)
 
+    @pytest.mark.parametrize("bad", [2, 9, -1, -2])
+    def test_action_outside_outputs_is_rejected(self, bad):
+        # a 2-output network: 9 would index past Q, and -2 would wrap round
+        # to action 0 and train the wrong Q-value
+        rng = np.random.default_rng(3)
+        spec = tiny_spec()
+        w = init_weights(spec, rng)
+        states = rng.normal(size=(4, 2, 4, 4))
+        actions = np.array([0, 1, bad, 1])
+        with pytest.raises(ValueError, match=rf"action {bad} outside \[0, 2\)"):
+            q_loss_and_grads(spec, w, states, actions, rng.normal(size=4))
+
     @pytest.mark.parametrize("shape, ky, kx, stride", [
         ((3, 4, 10, 10), 3, 3, 1),     # desk conv
         ((2, 2, 9, 9), 3, 3, 2),

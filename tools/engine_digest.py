@@ -3,17 +3,21 @@
 
 For each delta workload of bench/workloads.py and each of its thresholds,
 one engine steps through every recorded episode (reset_state between
-episodes). A SHA-256 covers, step by step, the returned output and every
-layer's accumulator `o` and transmitted values `x`, then the engine's two
-counter arrays. Two commits that print the same digests did the same
-arithmetic bit for bit on these streams.
+episodes), and the tool prints one line: workload, threshold and two
+SHA-256 digests. The trajectory digest covers, step by step, the returned
+output and every layer's accumulator `o` and transmitted values `x`, then
+the engine's two counter arrays; two commits that print the same one did
+the same arithmetic bit for bit on these streams. The counts digest covers
+the two counter arrays only, so it holds when a change moves output bits
+but no event or counted multiplication.
 
     PYTHONPATH=src python3 tools/engine_digest.py --seed 1 > before.txt
     PYTHONPATH=src python3 tools/engine_digest.py --seed 1 --compare before.txt
 
 With --compare FILE, a saved output of this tool, the run still prints its
-digests, then names on stderr each (workload, threshold) pair whose digest
-differs from the file's or is missing from it, and exits 1 if there is one.
+digests, then names on stderr each (workload, threshold) pair whose
+trajectory or counts moved, or that is missing from the file, and exits 1
+if there is one.
 
 BLAS is pinned to one thread, as in bench/run.py, because T=0 counts
 depend on float summation order.
@@ -34,7 +38,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 
-def digest(setup: workloads.DeltaSetup, label: str) -> str:
+def digests(setup: workloads.DeltaSetup, label: str) -> tuple[str, str]:
+    """The (trajectory, counts) digests of one engine's run."""
     eng = setup.engines[label]
     h = hashlib.sha256()
     for ep in setup.episodes:
@@ -44,9 +49,10 @@ def digest(setup: workloads.DeltaSetup, label: str) -> str:
             for L in eng.layers:
                 h.update(L.o.tobytes())
                 h.update(L.x.tobytes())
-    h.update(eng.counter.significant_multiplications.tobytes())
-    h.update(eng.counter.events_sent.tobytes())
-    return h.hexdigest()
+    counts = (eng.counter.significant_multiplications.tobytes()
+              + eng.counter.events_sent.tobytes())
+    h.update(counts)
+    return h.hexdigest(), hashlib.sha256(counts).hexdigest()
 
 
 def main() -> None:
@@ -62,19 +68,25 @@ def main() -> None:
         except OSError as e:
             sys.exit(f"cannot read {args.compare}: {e}")
         rows = [line.split("\t") for line in text.splitlines()]
-        if not rows or any(len(row) != 3 for row in rows):
+        if not rows or any(len(row) != 4 for row in rows):
             sys.exit(f"{args.compare}: not a saved output of this tool")
-        saved = {(name, label): d for name, label, d in rows}
+        saved = {(name, label): tuple(d) for name, label, *d in rows}
     differ = []
     for name, scale in workloads.DELTA_SCALES.items():
         setup = workloads.setup_delta(args.seed, scale)
         for label in setup.engines:
-            d = digest(setup, label)
-            print(f"{name}\t{label}\t{d}")
-            if saved is not None and saved.get((name, label)) != d:
-                differ.append(f"{name} {label}")
+            got = digests(setup, label)
+            print(f"{name}\t{label}\t{got[0]}\t{got[1]}")
+            if saved is None:
+                continue
+            want = saved.get((name, label))
+            if want is None:
+                differ.append(f"{name} {label}: missing")
+            elif moved := [part for part, a, b in
+                           zip(("trajectory", "counts"), got, want) if a != b]:
+                differ.append(f"{name} {label}: {' and '.join(moved)}")
     if differ:
-        sys.exit(f"digests differ from {args.compare}: {', '.join(differ)}")
+        sys.exit(f"digests differ from {args.compare}:\n" + "\n".join(differ))
 
 
 if __name__ == "__main__":
