@@ -17,6 +17,6 @@ from .pruning import (PrunableWeights, SparsityReport, prune_step,
                       report_sparsity, rewind, schedule_fraction)
 from .reporting import (RunRecord, build_table, curve_csv,
                         record_from_counters, write_report_files)
-from .training import (Batch, EvalResult, PipelineRecord, PipelineResult,
-                       ReplayBuffer, TrainingDiverged, double_q_target,
+from .training import (Batch, EvalResult, PipelineResult, ReplayBuffer,
+                       TrainingDiverged, check_fits, double_q_target,
                        evaluate, evaluate_pruned, lottery_pipeline, train)

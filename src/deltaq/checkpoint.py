@@ -105,9 +105,11 @@ def _check_extra(extra: Any, n_layers: int) -> None:
                 f"extra {key} must be an integer >= {lo}, got {v!r}")
     scope = extra["scope"]
     if not (isinstance(scope, list)
-            and all(type(k) is int and 0 <= k < n_layers for k in scope)):
+            and all(type(k) is int and 0 <= k < n_layers for k in scope)
+            and len(set(scope)) == len(scope)):
         raise ValueError(
-            f"extra scope must be a list of layer indices, got {scope!r}")
+            f"extra scope must be a list of distinct layer indices, "
+            f"got {scope!r}")
     if not isinstance(extra.get("env", ""), str):
         raise ValueError(f"extra env must be a string, got {extra['env']!r}")
 
@@ -116,14 +118,19 @@ def load_checkpoint(path: str | Path) -> tuple[PrunableWeights, dict[str, Any]]:
     """Decode a checkpoint written by `save_prunable` into its
     PrunableWeights and the rest of the header's extra metadata (env,
     env_max_steps, seed). Raises CheckpointError, naming the path, on a
-    bad magic or version, a truncated or oversized file, a header with a
-    missing or malformed field (an input shape, output count or layer
-    size that is not a JSON integer among them), no masks or no initial
-    snapshot, an inconsistent architecture, a missing or unusable
-    schedule value (iteration, rate, scope) or unusable env or
-    env_max_steps, non-finite weights or biases, or nonzero live weights
-    under a False mask."""
-    data = Path(path).read_bytes()
+    file that cannot be read (missing, or a directory), a bad magic or
+    version, a truncated or oversized file, a header with a missing or
+    malformed field (an input shape, output count or layer size that is
+    not a JSON integer among them), no masks or no initial snapshot, an
+    inconsistent architecture, a missing or unusable schedule value
+    (iteration, rate, scope; a scope that repeats an index is unusable) or
+    unusable env or env_max_steps, non-finite weights or biases, or
+    nonzero live weights under a False mask."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        why = "not found" if isinstance(e, FileNotFoundError) else e.strerror
+        raise CheckpointError(f"{path}: cannot read: {why}") from None
     if len(data) < 16:
         raise CheckpointError(f"{path}: truncated: {len(data)} bytes")
     if data[:8] != MAGIC:

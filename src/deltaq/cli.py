@@ -25,9 +25,8 @@ from .checkpoint import CheckpointError, load_checkpoint, save_prunable
 from .config import ConfigError, load_config, parse_thresholds, write_config
 from .envs import make_env
 from .network import build_reference_dqn, static_network_multiplications
-from .reporting import (RunRecord, record_from_counters, records_from_json,
-                        write_report_files)
-from .training import PipelineRecord, evaluate_pruned, lottery_pipeline
+from .reporting import records_from_json, write_report_files
+from .training import check_fits, evaluate_pruned, lottery_pipeline
 
 
 def _static_table(report) -> str:
@@ -73,14 +72,6 @@ def _write_manifest(out_dir: Path, seed: int, config_src, artifacts: list[Path],
     return path
 
 
-def _run_records(rec: PipelineRecord) -> list[RunRecord]:
-    """One RunRecord per evaluated threshold, in evaluation order."""
-    return [record_from_counters(rec.pruned.spec, rec.pruned.iteration, t,
-                                 rec.sparsity, ev.counter, rec.reward_dense,
-                                 ev.mean_reward)
-            for t, ev in rec.delta_results.items()]
-
-
 def cmd_pipeline(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -101,14 +92,12 @@ def cmd_pipeline(args) -> int:
     artifacts = [out_dir / "config.ini"]
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    records: list[RunRecord] = []
-    for rec in result.records:
-        ckpt = ckpt_dir / f"iter_{rec.pruned.iteration:03d}.ckpt"
-        save_prunable(ckpt, rec.pruned, extra={
+    for p in result.pruned:
+        ckpt = ckpt_dir / f"iter_{p.iteration:03d}.ckpt"
+        save_prunable(ckpt, p, extra={
             "env": cfg.env_name, "env_max_steps": cfg.env_max_steps,
             "seed": args.seed})
         artifacts.append(ckpt)
-        records += _run_records(rec)
 
     meta = {
         "env": cfg.env_name,
@@ -116,7 +105,7 @@ def cmd_pipeline(args) -> int:
         "baseline_reward_dense": result.baseline_reward_dense,
         "baseline_random": result.baseline_random,
     }
-    artifacts += write_report_files(out_dir, records, meta)
+    artifacts += write_report_files(out_dir, result.records, meta)
     # the same bytes as records.json, kept under its older name because
     # bench/ checks and digests it
     all_path = out_dir / "records_all.json"
@@ -124,16 +113,13 @@ def cmd_pipeline(args) -> int:
     artifacts.append(all_path)
     artifacts.append(_write_manifest(out_dir, args.seed, args.config, artifacts,
                                      args.argv, extra={"env": cfg.env_name}))
-    print(f"pipeline complete: {len(result.records)} iterations, "
+    print(f"pipeline complete: {len(result.pruned)} iterations, "
           f"artifacts in {out_dir}")
     return 0
 
 
 def cmd_delta_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        print(f"error: checkpoint not found: {ckpt_path}", file=sys.stderr)
-        return 2
     if args.episodes < 1:
         print("error: episodes must be >= 1", file=sys.stderr)
         return 2
@@ -156,17 +142,11 @@ def cmd_delta_eval(args) -> int:
     try:
         env = make_env(env_name, seed=args.seed,
                        max_steps=meta.get("env_max_steps", 400))
+        check_fits(p.spec, env)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    spec = p.spec
-    if (spec.input_shape, spec.n_output) != (env.state_shape, env.n_actions):
-        print(f"error: {ckpt_path}: network {spec.input_shape} -> {spec.n_output} does "
-              f"not fit {env_name} {env.state_shape} -> {env.n_actions} actions",
-              file=sys.stderr)
-        return 2
-    records = _run_records(evaluate_pruned(env, p, args.seed, thresholds,
-                                           args.episodes))
+    records = evaluate_pruned(env, p, args.seed, thresholds, args.episodes)
     out_dir = args.out
     artifacts = write_report_files(out_dir, records,
                                    {"checkpoint": str(ckpt_path),
@@ -179,11 +159,13 @@ def cmd_delta_eval(args) -> int:
 
 def cmd_report(args) -> int:
     src = Path(args.records)
-    if not src.exists():
-        print(f"error: records file not found: {src}", file=sys.stderr)
+    try:
+        text = src.read_text()
+    except OSError as e:
+        print(f"error: {src}: cannot read: {e.strerror}", file=sys.stderr)
         return 2
     try:
-        records, meta = records_from_json(src.read_text())
+        records, meta = records_from_json(text)
         if not records:
             raise ValueError("no records in file")
         # renders every file before it writes any

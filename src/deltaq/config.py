@@ -128,8 +128,11 @@ POSITIVE: Rule = (lambda v: v > 0, "> 0")
 OPEN_UNIT: Rule = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 UNIT: Rule = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 ENV_NAME: Rule = (lambda v: v in ENVS, "one of " + ", ".join(sorted(ENVS)))
-SCOPE: Rule = (lambda v: bool(re.fullmatch(r"conv|all|\s*-?\d+\s*(,\s*-?\d+\s*)*", v)),
-               "conv, all, or comma-separated layer indices")
+# a repeated index would have prune_step rank that layer's weights twice
+SCOPE: Rule = (lambda v: v in ("conv", "all") or (
+    bool(re.fullmatch(r"\s*-?\d+\s*(,\s*-?\d+\s*)*", v))
+    and len({int(s) for s in v.split(",")}) == v.count(",") + 1),
+    "conv, all, or comma-separated distinct layer indices")
 
 
 class Key(NamedTuple):

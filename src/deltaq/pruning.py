@@ -72,6 +72,8 @@ def prune_step(p: PrunableWeights) -> PrunableWeights:
     scope = p.scope
     if not scope:
         raise ValueError("pruning scope is empty")
+    if len(set(scope)) < len(scope):
+        raise ValueError(f"pruning scope {scope} repeats a layer")
     for k in scope:
         if k < 0 or k >= len(p.spec.layers):
             raise ValueError(f"scope layer {k} out of range")

@@ -4,8 +4,11 @@ prune/rewind/retrain pipeline.
 
 A pruned network is evaluated one way, by `evaluate_pruned`: dense first,
 then in delta mode at each threshold, each rollout on a fresh fork of the
-same evaluation seed. `lottery_pipeline` applies it to every retrained
-network and `deltaq delta-eval` to a checkpoint.
+same evaluation seed. It returns the report rows (`RunRecord`), one per
+threshold. `lottery_pipeline` applies it to every retrained network and
+`deltaq delta-eval` to a checkpoint. `check_fits` is the one rule that a
+network acts on an environment: it takes the env's states and has one
+output per action. `train` and `evaluate` apply it before any work.
 
 The public network forward pass is single-state; training uses its own
 batched forward/backward. It reads conv columns with one gather through
@@ -51,8 +54,8 @@ from .delta import DeltaNetwork, OpCounter
 from .envs import Environment, random_policy_reward
 from .network import (NetworkSpec, WeightSet, forward, im2col_table,
                       init_weights)
-from .pruning import (PrunableWeights, SparsityReport, prune_step,
-                      report_sparsity, rewind)
+from .pruning import PrunableWeights, prune_step, report_sparsity, rewind
+from .reporting import RunRecord, record_from_counters
 
 
 class TrainingDiverged(RuntimeError):
@@ -446,11 +449,14 @@ def _flat_views(spec: NetworkSpec, flat: np.ndarray) -> WeightSet:
     return WeightSet(views[:n], views[n:])
 
 
-def _check_outputs(spec: NetworkSpec, env: Environment) -> None:
-    """A network acts on `env` only with one output per action."""
-    if spec.n_output != env.n_actions:
-        raise ValueError(f"network has {spec.n_output} outputs, "
-                         f"env has {env.n_actions} actions")
+def check_fits(spec: NetworkSpec, env: Environment) -> None:
+    """A network acts on `env` only if it takes the env's states and has one
+    output per action; raises ValueError otherwise."""
+    if (spec.input_shape, spec.n_output) != (env.state_shape, env.n_actions):
+        raise ValueError(
+            f"network has input {spec.input_shape} and {spec.n_output} "
+            f"outputs, env has {env.n_actions} actions and states "
+            f"{env.state_shape}")
 
 
 def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
@@ -462,13 +468,10 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
     Training works on private flat vectors; the trained values are copied
     back into `p.live`'s own arrays on return, also when it raises. The
     replay buffer and the target cache hold min(buffer_capacity, steps)
-    transitions. Raises ValueError if the network does not fit the env's
-    frames or actions, and TrainingDiverged if the loss goes non-finite.
+    transitions. Raises ValueError if the network does not fit the env
+    (`check_fits`), and TrainingDiverged if the loss goes non-finite.
     """
-    if spec.input_shape != env.state_shape:
-        raise ValueError(
-            f"network input {spec.input_shape} != env state {env.state_shape}")
-    _check_outputs(spec, env)
+    check_fits(spec, env)
     p.apply()
     n_params = sum(l.param_count() for l in spec.layers)
     theta, theta_target = np.empty(n_params), np.empty(n_params)
@@ -556,10 +559,12 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
     Dense mode performs (and counts) every static multiplication each step.
     Delta mode drives actions from the event engine's transmitted outputs
     and counts only significant multiplications, which skips zero weights.
+    Raises ValueError, before it plays, if the network does not fit `env`
+    (`check_fits`).
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    _check_outputs(spec, env)
+    check_fits(spec, env)
     if mode == "dense":
         def act(state: np.ndarray) -> int:
             return greedy_action(spec, weights, state)
@@ -599,36 +604,28 @@ def evaluate(env: Environment, spec: NetworkSpec, weights: WeightSet,
 # lottery pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PipelineRecord:
-    """A pruned network evaluated dense and at each threshold: its pruned
-    state (live weights, masks, iteration, rate and scope), its sparsity,
-    its dense reward and its delta evaluation per threshold."""
-
-    pruned: PrunableWeights
-    sparsity: SparsityReport
-    reward_dense: float
-    delta_results: dict[float, EvalResult]
-
-
 def evaluate_pruned(env: Environment, p: PrunableWeights, seed: int,
                     thresholds: tuple[float, ...],
-                    episodes: int) -> PipelineRecord:
+                    episodes: int) -> list[RunRecord]:
     """Evaluate the masked live weights of `p` dense, then in delta mode at
     each threshold in order, each on a fresh `env.fork(seed)` so rewards
-    compare across modes. The record holds `p` itself, not a copy."""
+    compare across modes. Returns one report row per threshold, in order."""
     dense = evaluate(env.fork(seed), p.spec, p.live, episodes)
-    delta_results = {t: evaluate(env.fork(seed), p.spec, p.live, episodes,
-                                 mode="delta", thresholds=t)
-                     for t in thresholds}
-    return PipelineRecord(pruned=p, sparsity=report_sparsity(p.masks, p.scope),
-                          reward_dense=dense.mean_reward,
-                          delta_results=delta_results)
+    sparsity = report_sparsity(p.masks, p.scope)
+    records = []
+    for t in thresholds:
+        ev = evaluate(env.fork(seed), p.spec, p.live, episodes, mode="delta",
+                      thresholds=t)
+        records.append(record_from_counters(
+            p.spec, p.iteration, t, sparsity, ev.counter, dense.mean_reward,
+            ev.mean_reward))
+    return records
 
 
 @dataclass
 class PipelineResult:
-    records: list[PipelineRecord]
+    records: list[RunRecord]        # every iteration's rows, in order
+    pruned: list[PrunableWeights]   # each iteration's retrained snapshot
     baseline_reward_dense: float
     baseline_random: float
     baseline_weights: WeightSet
@@ -664,15 +661,16 @@ def lottery_pipeline(env: Environment, spec: NetworkSpec, rate: float,
                                            seed=rand_seed)
     baseline_weights = p.live.copy()
 
-    records: list[PipelineRecord] = []
+    records: list[RunRecord] = []
+    pruned: list[PrunableWeights] = []
     for i in range(1, n_iterations + 1):
         prune_step(p)
         rewind(p)
         rng_i = np.random.default_rng(train_seeds[i])
         train(env.fork(train_seeds[i]), spec, p, cfg, rng_i)
-        snapshot = replace(p, live=p.live.copy(),
-                           masks=[m.copy() for m in p.masks])
-        records.append(evaluate_pruned(env, snapshot, eval_seed, thresholds,
-                                       eval_episodes))
-    return PipelineResult(records, baseline_dense.mean_reward,
+        pruned.append(replace(p, live=p.live.copy(),
+                              masks=[m.copy() for m in p.masks]))
+        records += evaluate_pruned(env, pruned[-1], eval_seed, thresholds,
+                                   eval_episodes)
+    return PipelineResult(records, pruned, baseline_dense.mean_reward,
                           baseline_random, baseline_weights)

@@ -51,21 +51,21 @@ class NaiveDeltaResult:
         self.events_received = [0] * n_layers
 
 
-def naive_delta_run(spec, weights, masks, thresholds, input_threshold, frames):
+def naive_delta_run(spec, weights, masks, threshold, frames):
     """Per-event delta simulation: every (nonzero delta, nonzero unpruned
     weight) pair is enumerated one multiplication at a time.
 
     Semantics: all events of a timestep are absorbed before any neuron
-    decides to fire; a neuron fires when its activation differs from the
-    last transmitted value by a nonzero amount of at least the layer
-    threshold; on the first timestep every layer evaluates firing even
-    without incoming events (bias propagation).
+    decides to fire; an input pixel or a neuron fires when its value
+    differs from the last transmitted one by a nonzero amount of at least
+    the one `threshold`; on the first timestep every layer evaluates firing
+    even without incoming events (bias propagation).
     """
+
+    def fires(d):
+        return d != 0.0 and abs(d) >= threshold
+
     n_layers = len(spec.layers)
-    if np.isscalar(thresholds):
-        thresholds = [float(thresholds)] * n_layers
-    if input_threshold is None:
-        input_threshold = thresholds[0]
     w_m = []
     for li in range(n_layers):
         w = np.array(weights.weights[li], dtype=np.float64)
@@ -96,7 +96,7 @@ def naive_delta_run(spec, weights, masks, thresholds, input_threshold, frames):
         flat_prev = input_prev.ravel()
         for i in range(flat_frame.size):
             d = flat_frame[i] - flat_prev[i]
-            if d != 0.0 and abs(d) >= input_threshold:
+            if fires(d):
                 events.append((i, d))
                 flat_prev[i] = flat_frame[i]
         res.events_sent[0] += len(events)
@@ -140,7 +140,7 @@ def naive_delta_run(spec, weights, masks, thresholds, input_threshold, frames):
                     act = max(flat_o[j], 0.0) if layer.activation == "relu" \
                         else flat_o[j]
                     d_out = act - flat_x[j]
-                    if d_out != 0.0 and abs(d_out) >= thresholds[li]:
+                    if fires(d_out):
                         flat_x[j] = act
                         new_events.append((j, d_out))
                 events = new_events

@@ -201,7 +201,7 @@ def test_criterion_4_counting_oracle():
         dn = DeltaNetwork(spec, weights, thresholds=threshold, masks=masks)
         for f in frames:
             dn.step(f)
-        ref = naive_delta_run(spec, weights, masks, threshold, None, frames)
+        ref = naive_delta_run(spec, weights, masks, threshold, frames)
         assert dn.counter.significant_multiplications[1:].tolist() == ref.mults
         assert dn.counter.events_sent.tolist() == ref.events_sent
     assert time.perf_counter() - t0 < 60.0
@@ -251,8 +251,7 @@ def test_criterion_5_monotonicity(pipeline):
     frames = _fixed_frames()
     thresholds = (0.0, 1e-4, 1e-3, 1e-2)
     checkpoints = [(0, result.baseline_weights, None)]
-    checkpoints += [(r.pruned.iteration, r.pruned.live, r.pruned.masks)
-                    for r in result.records]
+    checkpoints += [(p.iteration, p.live, p.masks) for p in result.pruned]
     by_threshold = {}
     for it, weights, masks in checkpoints:
         measured = [_measured_per_step(spec, weights, masks, t, frames)
@@ -313,8 +312,8 @@ def test_criterion_7a_dense_vs_random(pipeline):
 def test_criterion_7b_retention(pipeline):
     _, result, _ = pipeline
     last = result.records[-1]
-    assert last.pruned.iteration == 3
-    assert last.sparsity.scope_total == pytest.approx(0.488, abs=0.01)
+    assert last.iteration == 3
+    assert last.sparsity_total == pytest.approx(0.488, abs=0.01)
     assert last.reward_dense >= 0.7 * result.baseline_reward_dense, (
         f"iter-3 dense {last.reward_dense} vs baseline "
         f"{result.baseline_reward_dense}")
@@ -324,14 +323,13 @@ def test_criterion_7b_retention(pipeline):
          "static while keeping 90% of dense reward")
 def test_criterion_7c_delta_operating_point(pipeline):
     spec, result, _ = pipeline
-    last = result.records[-1]
-    ev = last.delta_results[0.001]
+    rec = next(r for r in result.records if (r.iteration, r.threshold)
+               == (3, 0.001))
     static_total = static_network_multiplications(spec).total_multiplications
-    measured = ev.counter.total_multiplications() / ev.counter.timesteps
-    assert measured / static_total < 0.5, (
-        f"measured/static = {measured / static_total:.4f}")
-    assert ev.mean_reward >= 0.9 * last.reward_dense, (
-        f"delta reward {ev.mean_reward} vs dense {last.reward_dense}")
+    assert rec.measured_total / static_total < 0.5, (
+        f"measured/static = {rec.measured_total / static_total:.4f}")
+    assert rec.reward_delta >= 0.9 * rec.reward_dense, (
+        f"delta reward {rec.reward_delta} vs dense {rec.reward_dense}")
 
 
 # ---------------------------------------------------------------------------

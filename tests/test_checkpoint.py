@@ -222,6 +222,8 @@ BAD_EXTRAS = {
     "iteration-fractional": _set_extra("iteration", 1.5),
     "scope-out-of-range": _set_extra("scope", [0, 3]),
     "scope-not-list": _set_extra("scope", "conv"),
+    # a repeated index would count that layer twice in the scope sparsity
+    "scope-repeated": _set_extra("scope", [0, 0]),
     "env-max-steps-zero": _set_extra("env_max_steps", 0),
     "env-not-string": _set_extra("env", 3),
     "iteration-missing": _drop_extra("iteration"),

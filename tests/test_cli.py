@@ -140,6 +140,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("section,line,fragment", [
         ("pruning", "scope = 0,7", "scope"),
+        ("pruning", "scope = 0,0", "scope"),
         ("training", "stpes = 5", "stpes"),
     ])
     def test_bad_training_or_scope_exits_2(self, tmp_path, capsys, section,
@@ -496,6 +497,19 @@ class TestBadInputsExit2:
         assert main(["delta-eval", "--checkpoint", str(ckpt), "--env",
                      "mini-invaders", "--episodes", "1", "--out", str(dest)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("delta-eval", "--checkpoint"), ("report", "--records")])
+    def test_directory_as_input_file_exits_2(self, tmp_path, capsys, command,
+                                             flag):
+        src = tmp_path / "a-directory"
+        src.mkdir()
+        dest = tmp_path / "never"
+        assert main([command, flag, str(src), "--out", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {src}: cannot read")
         assert not dest.exists()
 
     def test_delta_eval_unknown_env(self, smoke_run, tmp_path, capsys):

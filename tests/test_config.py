@@ -179,6 +179,16 @@ def test_scope_outside_network_rejected(tmp_path, scope):
         load_config(path)
 
 
+@pytest.mark.parametrize("scope", ["0,0", "0, 2, 0"])
+def test_repeated_scope_index_rejected(tmp_path, scope):
+    path = tmp_path / "scope.ini"
+    path.write_text(f"[pruning]\nscope = {scope}\n")
+    with pytest.raises(ConfigError, match="\\[pruning\\] scope: must be "
+                                          "conv, all, or comma-separated "
+                                          "distinct layer indices"):
+        load_config(path)
+
+
 def test_scope_inside_network_accepted(tmp_path):
     path = tmp_path / "scope.ini"
     path.write_text("[pruning]\nscope = 0,2\n")

@@ -197,7 +197,7 @@ class TestCountingOracle:
                 frames.append(frame.copy())
             dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
             outs = [dn.step(f) for f in frames]
-            ref = naive_delta_run(spec, w, masks, t_val, None, frames)
+            ref = naive_delta_run(spec, w, masks, t_val, frames)
             assert dn.counter.significant_multiplications[1:].tolist() == ref.mults
             assert dn.counter.events_sent.tolist() == ref.events_sent
             for got, want in zip(outs, ref.outputs):
@@ -520,7 +520,7 @@ class TestGeometrySweep:
                                   whole_columns=name in WHOLE_COLUMN_STREAMS)
             dn = DeltaNetwork(spec, w, thresholds=t_val, masks=masks)
             outs = [dn.step(f) for f in frames]
-            ref = naive_delta_run(spec, w, masks, t_val, None, frames)
+            ref = naive_delta_run(spec, w, masks, t_val, frames)
             ctr = dn.counter
             assert ctr.significant_multiplications[0] == 0
             assert ctr.significant_multiplications[1:].tolist() == ref.mults
@@ -554,7 +554,7 @@ class TestGeometrySweep:
             assert any(0 < r[k] <= L.block_rows
                        for r in received
                        for k, L in enumerate(dn.layers) if not L.conv)
-            ref = naive_delta_run(spec, w, masks, t_val, None, frames)
+            ref = naive_delta_run(spec, w, masks, t_val, frames)
             ctr = dn.counter
             assert ctr.significant_multiplications[1:].tolist() == ref.mults
             assert ctr.events_sent.tolist() == ref.events_sent
@@ -702,7 +702,7 @@ class TestDensePathChoice:
             if block_rows is not None:
                 assert dn.layers[0].block_rows == block_rows
                 assert any(n >= 3 * block_rows for n in fired)
-            ref = naive_delta_run(spec, w, masks, t_val, None, frames)
+            ref = naive_delta_run(spec, w, masks, t_val, frames)
             ctr = dn.counter
             assert ctr.significant_multiplications[0] == 0
             assert ctr.significant_multiplications[1:].tolist() == ref.mults
@@ -738,7 +738,7 @@ class TestMaskedFilterStaysSilent:
                        if line.split("\t")[1] == "Conv2d-1"]
         later = [int(i) for t, _, i, _ in conv_events if int(t) > 0]
         assert later and not any(25 <= i < 50 for i in later)
-        ref = naive_delta_run(spec, w, masks, 0.0, None, frames)
+        ref = naive_delta_run(spec, w, masks, 0.0, frames)
         assert dn.counter.significant_multiplications[1:].tolist() == ref.mults
         assert dn.counter.events_sent[:-1].tolist() == ref.events_received
         assert dn.counter.events_sent.tolist() == ref.events_sent

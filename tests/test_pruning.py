@@ -107,6 +107,16 @@ class TestPruneStep:
         with pytest.raises(ValueError):
             prune_step(p)
 
+    def test_repeated_scope_index_rejected(self):
+        # ranking layer 0's weights twice would mask more of it than once
+        rng = np.random.default_rng(2)
+        p = make_prunable(rng)
+        p.scope = (0, 0)
+        with pytest.raises(ValueError, match="repeats a layer"):
+            prune_step(p)
+        assert p.iteration == 0
+        assert all(m.all() for m in p.masks)
+
     def test_scope_limits_pruning(self):
         rng = np.random.default_rng(6)
         spec = build_scaled_dqn((2, 6, 6), 3, conv_filters=4)

@@ -110,6 +110,22 @@ def three_conv_spec():
         input_shape=(4, 36, 36), n_output=3)
 
 
+def _record_play(monkeypatch, env):
+    """A list that collects each reset and step `env` is asked for."""
+    played = []
+    monkeypatch.setattr(env, "reset", lambda: played.append("reset"))
+    monkeypatch.setattr(env, "step", lambda a: played.append(("step", a)))
+    return played
+
+
+# networks that do not fit the env; the last fits the actions, not the frames
+MISFITS = pytest.mark.parametrize(
+    "name, n_output, input_shape",
+    [("mini-invaders", 3, None), ("mini-breakout", 4, None),
+     ("mini-breakout", 3, (4, 12, 12))],
+    ids=["mini-invaders-3", "mini-breakout-4", "mini-breakout-3-input-4x12x12"])
+
+
 class TestReplayBuffer:
     def test_capacity_bound_and_fifo(self):
         buf = ReplayBuffer(5, (1, 2, 2))
@@ -761,20 +777,22 @@ class TestTrain:
         assert cache.q.shape == (slots, env.n_actions)
         assert buf.size == min(steps, slots)
 
-    @pytest.mark.parametrize("name, n_output", [("mini-invaders", 3),
-                                                ("mini-breakout", 4)])
-    def test_rejects_network_outputs_that_do_not_match_actions(self, name,
-                                                               n_output):
+    @MISFITS
+    def test_rejects_network_outputs_that_do_not_match_actions(
+            self, monkeypatch, name, n_output, input_shape):
         env = make_env(name, seed=1, max_steps=60)
-        spec = build_scaled_dqn(env.state_shape, n_output, conv_filters=4,
-                                dense_hidden=16)
+        spec = build_scaled_dqn(input_shape or env.state_shape, n_output,
+                                conv_filters=4, dense_hidden=16)
         rng = np.random.default_rng(1)
         p = PrunableWeights.create(spec, init_weights(spec, rng), rate=0.3)
         cfg = TrainingConfig(steps=100, min_buffer=20, batch_size=8)
         before = [a.copy() for a in p.live.weights]
+        played = _record_play(monkeypatch, env)
         with pytest.raises(ValueError, match=f"{n_output} outputs, env has "
-                                             f"{env.n_actions} actions"):
+                                             f"{env.n_actions} actions") as e:
             train(env, spec, p, cfg, rng)
+        assert f"input {spec.input_shape}" in str(e.value)
+        assert played == []
         for a, b in zip(p.live.weights, before):
             assert np.array_equal(a, b)
 
@@ -881,17 +899,19 @@ class TestEvaluate:
         assert calls == {"step": t, "check_finite": n_arrays + t}
 
     @pytest.mark.parametrize("mode", ["dense", "delta"])
-    @pytest.mark.parametrize("name, n_output", [("mini-invaders", 3),
-                                                ("mini-breakout", 4)])
-    def test_rejects_network_outputs_that_do_not_match_actions(self, name,
-                                                               n_output, mode):
+    @MISFITS
+    def test_rejects_network_outputs_that_do_not_match_actions(
+            self, monkeypatch, name, n_output, input_shape, mode):
         env = make_env(name, seed=1, max_steps=80)
-        spec = build_scaled_dqn(env.state_shape, n_output, conv_filters=4,
-                                dense_hidden=16)
+        spec = build_scaled_dqn(input_shape or env.state_shape, n_output,
+                                conv_filters=4, dense_hidden=16)
         w = init_weights(spec, np.random.default_rng(1))
+        played = _record_play(monkeypatch, env)
         with pytest.raises(ValueError, match=f"{n_output} outputs, env has "
-                                             f"{env.n_actions} actions"):
+                                             f"{env.n_actions} actions") as e:
             evaluate(env, spec, w, episodes=2, mode=mode)
+        assert f"input {spec.input_shape}" in str(e.value)
+        assert played == []
 
     def test_episode_validation(self):
         env, spec, w = self.setup_pair(seed=13)

@@ -3,8 +3,9 @@
 
 Writes bench/workloads.py's PIPELINE_CONFIG to a temporary directory, runs
 `deltaq pipeline` on it in-process and prints the SHA-256 of `records.json`,
-`tables.txt` and each checkpoint. Two commits that print the same digests
-trained, pruned and evaluated bit for bit alike at this seed.
+`tables.txt`, each checkpoint and `curve.csv` (`records_all.json` is a
+copy of `records.json`). Two commits that print the same digests trained, pruned
+and evaluated bit for bit alike at this seed.
 
     python3 tools/pipeline_digest.py --seed 7 [--memory]
 
@@ -57,7 +58,8 @@ def main() -> None:
         if code:
             sys.exit(f"deltaq pipeline exited {code}")
         files = [out / "records.json", out / "tables.txt",
-                 *sorted((out / "checkpoints").glob("*.ckpt"))]
+                 *sorted((out / "checkpoints").glob("*.ckpt")),
+                 out / "curve.csv"]
         for path in files:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{path.relative_to(out)}\t{digest}")
