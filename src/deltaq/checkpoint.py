@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .network import LayerSpec, NetworkSpec, WeightSet
-from .pruning import PrunableWeights
+from .pruning import PrunableWeights, check_scope
 
 MAGIC = b"DLTQCKPT"
 VERSION = 1
@@ -104,12 +104,12 @@ def _check_extra(extra: Any, n_layers: int) -> None:
             raise ValueError(
                 f"extra {key} must be an integer >= {lo}, got {v!r}")
     scope = extra["scope"]
-    if not (isinstance(scope, list)
-            and all(type(k) is int and 0 <= k < n_layers for k in scope)
-            and len(set(scope)) == len(scope)):
-        raise ValueError(
-            f"extra scope must be a list of distinct layer indices, "
-            f"got {scope!r}")
+    if not (isinstance(scope, list) and all(type(k) is int for k in scope)):
+        raise ValueError(f"extra scope must be a list of integers, got {scope!r}")
+    try:
+        check_scope(tuple(scope), n_layers)
+    except ValueError as e:
+        raise ValueError(f"extra {e}") from None
     if not isinstance(extra.get("env", ""), str):
         raise ValueError(f"extra env must be a string, got {extra['env']!r}")
 

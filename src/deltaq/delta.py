@@ -76,7 +76,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .network import (LayerSpec, NetworkSpec, WeightSet, check_finite,
-                      im2col_table)
+                      im2col_table, real_frame)
 
 # A dense layer adds deltas @ w[fired], gathering DENSE_BLOCK_BYTES of rows
 # at a time so that each block is still in cache when its product reads it
@@ -255,12 +255,7 @@ class DeltaNetwork:
     def step(self, frame: np.ndarray) -> np.ndarray:
         """Process one input frame; returns the output layer's transmitted
         values (length n_output)."""
-        frame = np.asarray(frame)
-        # casting a complex frame would drop its imaginary part with only a
-        # warning
-        if frame.dtype.kind not in "iuf":
-            raise TypeError(f"frame must hold real numbers, got dtype {frame.dtype}")
-        frame = frame.astype(np.float64, copy=False)
+        frame = real_frame(frame)
         if frame.shape != self.spec.input_shape:
             raise ValueError(
                 f"frame shape {frame.shape} != {self.spec.input_shape}")

@@ -245,6 +245,15 @@ def check_finite(t: np.ndarray) -> None:
         raise ValueError("tensor contains non-finite values")
 
 
+def real_frame(x) -> np.ndarray:
+    """`x` as float64; TypeError unless it holds real numbers (a cast would
+    drop a complex frame's imaginary part with only a warning)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise TypeError(f"frame must hold real numbers, got dtype {x.dtype}")
+    return x.astype(np.float64, copy=False)
+
+
 def im2col_indices(in_shape: tuple[int, int, int], kernel_y: int, kernel_x: int,
                    stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather indices mapping an image (C,H,W) to columns
@@ -282,26 +291,22 @@ def im2col_table(kernel_shape: tuple[int, int, int],
     return table
 
 
-def conv2d_single(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+def conv2d_single(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                   stride: int) -> np.ndarray:
     """Valid convolution of one (C,H,W) image with (F,C,Ky,Kx) weights."""
     f, c, ky, kx = w.shape
     chans, rows, cols = im2col_indices(x.shape, ky, kx, stride)
     cols_mat = x[chans, rows, cols]                      # (C*Ky*Kx, OH*OW)
     out = w.reshape(f, -1) @ cols_mat                    # (F, OH*OW)
-    if b is not None:
-        out += b.reshape(-1, 1)
-    out_h = (x.shape[1] - ky) // stride + 1
-    out_w = (x.shape[2] - kx) // stride + 1
-    return out.reshape(f, out_h, out_w)
+    out += b.reshape(-1, 1)
+    return out.reshape(f, (x.shape[1] - ky) // stride + 1, -1)
 
 
 def forward(spec: NetworkSpec, w: WeightSet, x: np.ndarray) -> np.ndarray:
     """Dense forward pass for a single input state; returns the output vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != spec.input_shape:
-        raise ValueError(f"input shape {x.shape} != {spec.input_shape}")
-    cur = x
+    cur = real_frame(x)
+    if cur.shape != spec.input_shape:
+        raise ValueError(f"input shape {cur.shape} != {spec.input_shape}")
     for i, layer in enumerate(spec.layers):
         if layer.kind == "conv2d":
             cur = conv2d_single(cur, w.weights[i], w.biases[i], layer.stride)

@@ -3,8 +3,10 @@ initial weights.
 
 Masks cover weights only (never biases). Ranking is global across the
 pruning scope: all currently unmasked weights in scope are sorted together
-by absolute value, so per-layer sparsities diverge naturally. The cumulative
-masked fraction after iteration i tracks 1 - (1-r)^i to within one weight.
+by absolute value, ties by layer and then C-order flat index, so per-layer
+sparsities diverge naturally. The cumulative masked fraction after
+iteration i tracks 1 - (1-r)^i to within one weight. Masked weights are
+zero after every `apply`, and `training.train` keeps them at +0.0.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ def default_scope(spec: NetworkSpec) -> tuple[int, ...]:
     return tuple(i for i, l in enumerate(spec.layers) if l.kind == "conv2d")
 
 
+def check_scope(scope: tuple[int, ...], n_layers: int) -> None:
+    """Raise ValueError unless `scope` names distinct layers of an
+    `n_layers`-layer network."""
+    if len(set(scope)) < len(scope):
+        raise ValueError(f"scope {scope} repeats a layer")
+    if not all(0 <= k < n_layers for k in scope):
+        raise ValueError(f"scope {scope} names a layer outside 0..{n_layers - 1}")
+
+
 @dataclass
 class PrunableWeights:
     """Live weights plus masks, the archived initialization, and the schedule
@@ -49,12 +60,12 @@ class PrunableWeights:
         if not 0.0 < rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {rate}")
         weights.validate(spec)
+        scope = tuple(default_scope(spec) if scope is None else scope)
+        check_scope(scope, len(spec.layers))
         masks = [np.ones(l.weight_shape(), dtype=bool) for l in spec.layers]
-        if scope is None:
-            scope = default_scope(spec)
         return cls(spec=spec, live=weights.copy(), masks=masks,
                    initial=weights.copy(), rate=rate, iteration=0,
-                   scope=tuple(scope))
+                   scope=scope)
 
     def apply(self) -> None:
         """Zero out masked entries of the live weights in place."""
@@ -69,39 +80,27 @@ def prune_step(p: PrunableWeights) -> PrunableWeights:
 
     Mutates and returns `p`; masks only grow.
     """
-    scope = p.scope
-    if not scope:
+    if not p.scope:
         raise ValueError("pruning scope is empty")
-    if len(set(scope)) < len(scope):
-        raise ValueError(f"pruning scope {scope} repeats a layer")
-    for k in scope:
-        if k < 0 or k >= len(p.spec.layers):
-            raise ValueError(f"scope layer {k} out of range")
-        if not p.masks[k].any():
+    check_scope(p.scope, len(p.spec.layers))
+    layers = sorted(p.scope)
+    alive = [np.flatnonzero(p.masks[k]) for k in layers]
+    for k, i in zip(layers, alive):
+        if not i.size:
             raise ValueError(f"layer {k} has no unmasked weights left")
-
-    n_scope = sum(p.masks[k].size for k in scope)
-    already = sum(p.masks[k].size - int(np.count_nonzero(p.masks[k])) for k in scope)
-    target = int(round(schedule_fraction(p.rate, p.iteration + 1) * n_scope))
-    n_new = target - already
+    n_scope = sum(p.masks[k].size for k in layers)
+    n_dead = n_scope - sum(i.size for i in alive)
+    n_new = round(schedule_fraction(p.rate, p.iteration + 1) * n_scope) - n_dead
     if n_new > 0:
-        mags, layer_ids, flat_ids = [], [], []
-        for k in scope:
-            alive = p.masks[k].ravel()
-            idx = np.flatnonzero(alive)
-            mags.append(np.abs(p.live.weights[k].ravel()[idx]))
-            layer_ids.append(np.full(idx.size, k, dtype=np.int64))
-            flat_ids.append(idx)
-        mags = np.concatenate(mags)
-        layer_ids = np.concatenate(layer_ids)
-        flat_ids = np.concatenate(flat_ids)
-        # primary key magnitude, then layer index, then flat index
-        order = np.lexsort((flat_ids, layer_ids, mags))
-        kill = order[:n_new]
-        for k in scope:
-            sel = kill[layer_ids[kill] == k]
-            if sel.size:
-                p.masks[k].ravel()[flat_ids[sel]] = False
+        mags = np.concatenate([np.abs(p.live.weights[k].ravel()[i])
+                               for k, i in zip(layers, alive)])
+        # the magnitudes lie in (layer, flat index) order, so a stable sort
+        # breaks their ties in that order
+        dead = np.zeros(mags.size, dtype=bool)
+        dead[np.argsort(mags, kind="stable")[:n_new]] = True
+        ends = np.cumsum([i.size for i in alive])[:-1]
+        for k, i, d in zip(layers, alive, np.split(dead, ends)):
+            p.masks[k][np.unravel_index(i[d], p.masks[k].shape)] = False
     p.iteration += 1
     p.apply()
     return p

@@ -28,17 +28,16 @@ weights, the target weights, the gradient and the optimizer's two moments
 each as one contiguous float64 vector (weights of every layer, then
 biases), with per-layer `WeightSet` views over it: the backward pass
 writes into the gradient views, target sync is one copy, gradient masking
-and the re-zeroing of masked weights are one indexed assignment each, and
-`Adam.step` updates the whole vector in place in cache-sized chunks, in
-the efficient form of Kingma & Ba (one division per element). The Huber
-loss's `HUBER_DELTA` and Adam's `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`
-are module constants, not config keys. Masked weights receive no gradient
-and are re-zeroed after every optimizer step, so they stay exactly zero
-throughout training. The target network is frozen between syncs, so
-`train` keeps its Q values per replay slot in a `TargetCache` and runs the
-target forward only on the batch's distinct slots that were written or
-synced since they were last computed. The trained values are copied back
-into the caller's own arrays at the end.
+is one indexed assignment, and `Adam.step` updates the whole vector in
+place in cache-sized chunks, in the efficient form of Kingma & Ba (one
+division per element). The Huber loss's `HUBER_DELTA` and Adam's
+`ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS` are module constants, not config
+keys. Masked weights are zeroed once, by `p.apply()` before training, and
+get zero gradient, so Adam keeps them at +0.0. The target network is
+frozen between syncs, so `train` keeps its Q values per replay slot in a
+`TargetCache` and runs the target forward only on the batch's distinct
+slots that were written or synced since they were last computed. The
+trained values are copied back into the caller's own arrays at the end.
 """
 
 from __future__ import annotations
@@ -150,10 +149,10 @@ class ReplayBuffer:
         at = self.at[idx]
         return Batch(
             states=self.frames[at[:, 0]].astype(np.float64),
-            actions=self.a[idx].copy(),
-            rewards=self.r[idx].copy(),
+            actions=self.a[idx],
+            rewards=self.r[idx],
             next_states=self.frames[at[:, 1]].astype(np.float64),
-            dones=self.done[idx].copy(),
+            dones=self.done[idx],
             slots=idx,
         )
 
@@ -332,7 +331,8 @@ class Adam:
     chunks of `ADAM_CHUNK` elements with two preallocated scratch chunks;
     each element goes through the same operations in the same order as
     that per-array expression, so results are bit for bit the same. A zero
-    gradient on a zero weight with zero moments leaves it exactly zero.
+    gradient on a +0.0 weight with zero moments leaves it +0.0, which
+    keeps masked weights zero in `train`.
     """
 
     def __init__(self, params: np.ndarray, lr: float):
@@ -464,7 +464,7 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
     """Gradient-train the live weights of `p` in place on `env`; returns
     the last loss and the number of gradient steps.
 
-    Masked weights get zero gradient and are re-zeroed after each update.
+    Masked weights are zeroed once, by `p.apply()`, and get zero gradient.
     Training works on private flat vectors; the trained values are copied
     back into `p.live`'s own arrays on return, also when it raises. The
     replay buffer and the target cache hold min(buffer_capacity, steps)
@@ -525,7 +525,6 @@ def train(env: Environment, spec: NetworkSpec, p: PrunableWeights,
                         f"(lr={cfg.learning_rate}, batch={cfg.batch_size})")
                 grad[masked] = 0.0
                 opt.step(grad)
-                theta[masked] = 0.0
                 result.final_loss = loss
                 result.gradient_steps += 1
 

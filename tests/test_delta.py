@@ -407,13 +407,16 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.bool_, np.str_])
     def test_non_real_frame_rejected(self, dtype):
-        # a complex frame was cast to float64 with only a ComplexWarning
+        # a complex frame was cast to float64 with only a ComplexWarning;
+        # the dense pass and the engine take the same frames
         spec, w = random_net(np.random.default_rng(20))
         dn = DeltaNetwork(spec, w, thresholds=0.0)
         frame = np.ones(spec.input_shape, dtype=dtype)
         with pytest.raises(TypeError, match="real numbers"):
             dn.step(frame)
         assert dn.counter.timesteps == 0
+        with pytest.raises(TypeError, match="real numbers"):
+            forward(spec, w, frame)
 
     @pytest.mark.parametrize("kwargs", [
         {"thresholds": np.nan}, {"thresholds": np.inf},

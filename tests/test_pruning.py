@@ -117,6 +117,49 @@ class TestPruneStep:
         assert p.iteration == 0
         assert all(m.all() for m in p.masks)
 
+    def test_fortran_ordered_masks_prune_like_c_ordered(self):
+        # a Fortran-ordered mask ravels to a copy: kills must be written
+        # into the mask itself
+        spec = build_scaled_dqn((4, 10, 10), 3)
+        w = init_weights(spec, np.random.default_rng(5))
+        c = PrunableWeights.create(spec, w, rate=0.5, scope=(0, 1))
+        f = PrunableWeights.create(spec, w, rate=0.5, scope=(0, 1))
+        f.masks = [np.asfortranarray(m) for m in f.masks]
+        for _ in range(2):
+            prune_step(c)
+            prune_step(f)
+            for mc, mf in zip(c.masks, f.masks):
+                assert np.array_equal(mc, mf)
+        assert (~f.masks[0]).sum() > 0
+        for wc, wf in zip(c.live.weights, f.live.weights):
+            assert np.array_equal(wc, wf)
+
+    def test_scope_order_does_not_change_ranking(self):
+        # equal magnitudes in layers 0 and 2: ties go to the lower layer
+        spec = dense_only_spec([4, 4, 4, 4])
+        signed = np.where(np.arange(16) % 2, 0.5, -0.5).reshape(4, 4)
+        w = WeightSet([signed] * 3, [np.zeros(4)] * 3)
+        runs = {}
+        for scope in [(0, 2), (2, 0)]:
+            p = PrunableWeights.create(spec, w, rate=0.25, scope=scope)
+            for _ in range(2):
+                prune_step(p)
+            runs[scope] = p.masks
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(runs[(0, 2)], runs[(2, 0)]))
+        # 0.25 then 0.4375 of 32 weights: 14 masked, all 16 of layer 0 first
+        assert (~runs[(2, 0)][0]).sum() == 14
+        assert runs[(2, 0)][2].all()
+
+    @pytest.mark.parametrize("scope", [(7,), (0, 0), (-1,)])
+    def test_create_rejects_a_bad_scope(self, scope):
+        # prune_step and load_checkpoint refuse such a scope, so create
+        # must not store it
+        spec = dense_only_spec([8, 12, 4])
+        w = init_weights(spec, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="scope"):
+            PrunableWeights.create(spec, w, rate=0.2, scope=scope)
+
     def test_scope_limits_pruning(self):
         rng = np.random.default_rng(6)
         spec = build_scaled_dqn((2, 6, 6), 3, conv_filters=4)

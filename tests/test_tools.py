@@ -1,4 +1,5 @@
-"""Run tools/engine_digest.py end to end in a subprocess."""
+"""Run tools/engine_digest.py and tools/pipeline_digest.py end to end in a
+subprocess."""
 
 import subprocess
 import sys
@@ -38,3 +39,21 @@ def test_engine_digest_compare_names_what_moved(tmp_path):
     named = moved.stderr.splitlines()[1:]
     assert named == ["delta-desk T1e-3: counts",
                      "delta-reference T0: trajectory"]
+
+
+def test_pipeline_digest_does_not_depend_on_memory_flag():
+    # the bit-for-bit claims rest on these digests; --memory only adds a
+    # tracemalloc line after them
+    runs = [subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pipeline_digest.py"),
+         "--seed", "7", *flag], capture_output=True, text=True, timeout=300)
+        for flag in ([], ["--memory"])]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    plain, traced = (run.stdout.splitlines() for run in runs)
+    assert [line.split("\t")[0] for line in plain] == [
+        "records.json", "tables.txt", "checkpoints/iter_001.ckpt",
+        "checkpoints/iter_002.ckpt", "curve.csv"]
+    assert all(len(line.split("\t")[1]) == 64 for line in plain)
+    assert traced[:-1] == plain
+    assert traced[-1].startswith("tracemalloc_peak_mib\t")

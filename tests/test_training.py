@@ -674,6 +674,8 @@ class TestTrain:
         train(env, spec, p, cfg, rng)
         for w, m in zip(p.live.weights, p.masks):
             assert np.all(w[~m] == 0.0)
+            # +0.0 bit for bit: only p.apply() and zero gradients keep them
+            assert not np.signbit(w[~m]).any()
         assert any((~m).any() for m in p.masks)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
