@@ -10,9 +10,7 @@ from .envs import (Environment, MiniBreakout, MiniInvaders, follow_ball_policy,
                    make_env, random_policy_reward, run_policy)
 from .network import (LayerSpec, NetworkSpec, StaticCountReport, WeightSet,
                       build_reference_dqn, build_scaled_dqn, forward,
-                      init_weights, static_conv_multiplications,
-                      static_dense_multiplications,
-                      static_network_multiplications)
+                      init_weights, static_network_multiplications)
 from .pruning import (PrunableWeights, SparsityReport, prune_step,
                       report_sparsity, rewind, schedule_fraction)
 from .reporting import (RunRecord, build_table, curve_csv,

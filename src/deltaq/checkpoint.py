@@ -9,7 +9,9 @@ and scope plus the run metadata), then raw array payloads in a fixed
 order: per layer live weights and bias as row-major little-endian float64,
 per layer mask as uint8 {0,1}, per layer initial weights and bias.
 `save_prunable` is the only writer and `load_checkpoint` the only reader;
-files round-trip bit-exactly.
+files round-trip bit-exactly. The reader checks the file's framing and the
+run metadata; the schedule values are checked where every PrunableWeights
+is checked, in its constructor.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .network import LayerSpec, NetworkSpec, WeightSet
-from .pruning import PrunableWeights, check_scope
+from .pruning import PrunableWeights
 
 MAGIC = b"DLTQCKPT"
 VERSION = 1
@@ -85,31 +87,19 @@ def save_prunable(path: str | Path, p: PrunableWeights,
 _SCHEDULE_KEYS = ("iteration", "rate", "scope")
 
 
-def _check_extra(extra: Any, n_layers: int) -> None:
-    """The schedule keys (iteration, rate, scope) are present and usable,
-    and so are the run keys env and env_max_steps when present; other keys
-    are free-form."""
+def _check_extra(extra: Any) -> None:
+    """The schedule keys (iteration, rate, scope) are present, and the run
+    keys env and env_max_steps are usable when present; other keys are
+    free-form. PrunableWeights checks the schedule values themselves."""
     if not isinstance(extra, dict):
         raise TypeError(f"extra is {type(extra).__name__}, not an object")
     missing = [k for k in _SCHEDULE_KEYS if k not in extra]
     if missing:
         raise ValueError(f"extra lacks {', '.join(missing)}")
-    rate = extra["rate"]
-    if type(rate) not in (int, float) or not 0.0 < rate < 1.0:
+    v = extra.get("env_max_steps", 1)
+    if type(v) is not int or v < 1:
         raise ValueError(
-            f"extra rate must be a number in (0, 1), got {rate!r}")
-    for key, lo in (("iteration", 0), ("env_max_steps", 1)):
-        v = extra.get(key, lo)
-        if type(v) is not int or v < lo:
-            raise ValueError(
-                f"extra {key} must be an integer >= {lo}, got {v!r}")
-    scope = extra["scope"]
-    if not (isinstance(scope, list) and all(type(k) is int for k in scope)):
-        raise ValueError(f"extra scope must be a list of integers, got {scope!r}")
-    try:
-        check_scope(tuple(scope), n_layers)
-    except ValueError as e:
-        raise ValueError(f"extra {e}") from None
+            f"extra env_max_steps must be an integer >= 1, got {v!r}")
     if not isinstance(extra.get("env", ""), str):
         raise ValueError(f"extra env must be a string, got {extra['env']!r}")
 
@@ -122,10 +112,10 @@ def load_checkpoint(path: str | Path) -> tuple[PrunableWeights, dict[str, Any]]:
     version, a truncated or oversized file, a header with a missing or
     malformed field (an input shape, output count or layer size that is
     not a JSON integer among them), no masks or no initial snapshot, an
-    inconsistent architecture, a missing or unusable schedule value
-    (iteration, rate, scope; a scope that repeats an index is unusable) or
-    unusable env or env_max_steps, non-finite weights or biases, or
-    nonzero live weights under a False mask."""
+    inconsistent architecture, a missing schedule value (iteration, rate,
+    scope) or one PrunableWeights rejects, unusable env or env_max_steps,
+    non-finite weights or biases, or nonzero live weights under a False
+    mask."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -159,7 +149,7 @@ def load_checkpoint(path: str | Path) -> tuple[PrunableWeights, dict[str, Any]]:
         if not (header["has_masks"] is True and header["has_initial"] is True):
             raise ValueError("has_masks and has_initial must both be true")
         extra = header["extra"]
-        _check_extra(extra, len(spec.layers))
+        _check_extra(extra)
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CheckpointError(f"{path}: bad header: {e!r}") from None
     off = 16 + hlen
@@ -193,7 +183,12 @@ def load_checkpoint(path: str | Path) -> tuple[PrunableWeights, dict[str, Any]]:
     initial = read_weights()
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")
-    p = PrunableWeights(spec=spec, live=live, masks=masks, initial=initial,
-                        rate=extra["rate"], iteration=extra["iteration"],
-                        scope=tuple(extra["scope"]))
+    scope = extra["scope"]  # JSON has no tuple
+    try:
+        p = PrunableWeights(
+            spec=spec, live=live, masks=masks, initial=initial,
+            rate=extra["rate"], iteration=extra["iteration"],
+            scope=tuple(scope) if isinstance(scope, list) else scope)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: bad header: extra {e}") from None
     return p, {k: v for k, v in extra.items() if k not in _SCHEDULE_KEYS}

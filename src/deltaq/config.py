@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .delta import check_threshold
 from .envs import ENVS, make_env
 from .network import NetworkSpec, build_scaled_dqn
+from .pruning import check_scope
 
 
 class ConfigError(ValueError):
@@ -82,14 +84,13 @@ class RunConfig:
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:
-    """A comma-separated list of distinct delta thresholds, each finite and
-    >= 0."""
+    """A comma-separated list of distinct delta thresholds, each one that
+    `delta.check_threshold` accepts."""
     try:
-        thresholds = tuple(float(s) for s in text.split(","))
+        values = [float(s) for s in text.split(",")]
     except ValueError:
         raise ValueError(f"not a comma-separated list of numbers: {text!r}") from None
-    if not all(math.isfinite(t) and t >= 0 for t in thresholds):
-        raise ValueError(f"must be finite and >= 0, got {text}")
+    thresholds = tuple(check_threshold(t) for t in values)
     if len(set(thresholds)) < len(thresholds):
         raise ValueError(f"must not repeat a value, got {text}")
     return thresholds
@@ -128,11 +129,10 @@ POSITIVE: Rule = (lambda v: v > 0, "> 0")
 OPEN_UNIT: Rule = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 UNIT: Rule = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 ENV_NAME: Rule = (lambda v: v in ENVS, "one of " + ", ".join(sorted(ENVS)))
-# a repeated index would have prune_step rank that layer's weights twice
-SCOPE: Rule = (lambda v: v in ("conv", "all") or (
-    bool(re.fullmatch(r"\s*-?\d+\s*(,\s*-?\d+\s*)*", v))
-    and len({int(s) for s in v.split(",")}) == v.count(",") + 1),
-    "conv, all, or comma-separated distinct layer indices")
+# the syntax only; pruning.check_scope judges the indices (_cross_key_errors)
+SCOPE: Rule = (lambda v: v in ("conv", "all") or
+               bool(re.fullmatch(r"\s*-?\d+\s*(,\s*-?\d+\s*)*", v)),
+               "conv, all, or comma-separated integers")
 
 
 class Key(NamedTuple):
@@ -217,14 +217,13 @@ def _cross_key_errors(cfg: RunConfig) -> list[str]:
               f"({tc.buffer_capacity}), got {getattr(tc, name)}"
               for name in ("min_buffer", "batch_size")
               if getattr(tc, name) > tc.buffer_capacity]
-    # the pruning scope must name the network's layers
+    # the pruning scope must name distinct layers of the network
     env = make_env(cfg.env_name, seed=0)
     spec = cfg.build_network(env.state_shape, env.n_actions)
-    bad = [k for k in cfg.scope_indices(spec) or ()
-           if not 0 <= k < len(spec.layers)]
-    if bad:
-        errors.append(f"[pruning] scope: layer indices {bad} outside the "
-                      f"{len(spec.layers)}-layer network")
+    try:
+        check_scope(cfg.scope_indices(spec) or (), len(spec.layers))
+    except ValueError as e:
+        errors.append(f"[pruning] scope: {e}")
     return errors
 
 

@@ -3,8 +3,9 @@ exact significant-multiplication accounting.
 
 Instead of recomputing every layer from scratch each timestep, each neuron
 keeps a running pre-activation accumulator and the last value it transmitted
-downstream. One threshold gates the input and every layer alike: when a new
-frame arrives, only input entries whose change reaches the threshold emit
+downstream. One threshold, finite and >= 0 (``check_threshold`` states the
+rule for the engine and the config alike), gates the input and every layer
+alike: when a new frame arrives, only input entries whose change reaches the threshold emit
 delta events; each event updates downstream accumulators through the
 nonzero, unpruned weights it touches, and a neuron re-transmits only when
 its activation has drifted at least the threshold away from the last
@@ -75,8 +76,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, WeightSet, check_finite,
-                      im2col_table, real_frame)
+from .network import (NetworkSpec, WeightSet, check_finite, im2col_table,
+                      real_frame)
 
 # A dense layer adds deltas @ w[fired], gathering DENSE_BLOCK_BYTES of rows
 # at a time so that each block is still in cache when its product reads it
@@ -94,6 +95,17 @@ DENSE_BLOCK_BYTES = 512 * 1024
 # tie near 90. The desk conv receives about 7 events per step, the reference
 # conv layers 480-1,350.
 PYTHON_SUM_BELOW = 80
+
+
+def check_threshold(t: float) -> float:
+    """`t` as a float; the one statement of a threshold's rule: a real
+    number (not a bool, which would read as 1.0), finite (a NaN gate never
+    fires) and >= 0."""
+    if not isinstance(t, numbers.Real) or isinstance(t, bool):
+        raise TypeError(f"threshold must be one real number, got {t!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {t}")
+    return float(t)
 
 
 class OpCounter:
@@ -133,7 +145,6 @@ class _Layer:
     views of them made once at construction, and flat episode state. The
     conv delta image and the marks are zero again after every step."""
 
-    spec: LayerSpec
     conv: bool
     w: np.ndarray           # masked: conv (F, C, Ky, Kx), dense (in, out) C-order
     b: np.ndarray
@@ -181,16 +192,9 @@ class DeltaNetwork:
         for arr in (*weights.weights, *weights.biases):
             check_finite(arr)
         self.spec = spec
-        # a bool is a numbers.Real, and True would read as threshold 1.0
-        if not isinstance(thresholds, numbers.Real) or isinstance(thresholds, bool):
-            raise TypeError(
-                f"threshold must be one real number, got {thresholds!r}")
-        if not (math.isfinite(thresholds) and thresholds >= 0):
-            raise ValueError(
-                f"threshold must be finite and nonnegative, got {thresholds}")
         # the one threshold of the input row and every layer; the name is
         # the one bench/tracing.py labels step spans by
-        self.input_threshold = float(thresholds)
+        self.input_threshold = check_threshold(thresholds)
         self.trace = trace
 
         self.layers: list[_Layer] = []
@@ -232,7 +236,7 @@ class DeltaNetwork:
             # layer; a conv layer's border inputs cost less
             cost = int(costs[0]) if costs.min() == costs.max() else None
             self.layers.append(_Layer(
-                spec=layer, conv=is_conv, w=w,
+                conv=is_conv, w=w,
                 b=weights.biases[i].copy(), costs=costs, cost=cost,
                 block_rows=max(1, DENSE_BLOCK_BYTES // w[0].nbytes),
                 **bufs, **conv))

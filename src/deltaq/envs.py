@@ -24,6 +24,11 @@ class Environment:
     n_actions: int = 0
 
     def __init__(self, seed: int, max_steps: int = 400):
+        # a cap below 1 would end every episode after its first step
+        if (isinstance(max_steps, bool)
+                or not isinstance(max_steps, (int, np.integer)) or max_steps < 1):
+            raise ValueError(
+                f"max_steps must be an integer >= 1, got {max_steps!r}")
         self.seed = int(seed)
         self.max_steps = int(max_steps)
         self.rng = np.random.default_rng(self.seed)
@@ -271,6 +276,8 @@ def follow_ball_policy(state: np.ndarray) -> int:
 
 def run_policy(env: Environment, policy, episodes: int) -> float:
     """Mean episode reward of `policy(state) -> action` over fresh episodes."""
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     total = 0.0
     for _ in range(episodes):
         state = env.reset()

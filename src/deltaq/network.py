@@ -14,6 +14,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -74,7 +75,7 @@ class LayerSpec:
         return (self.out_size, self.in_size)
 
     def bias_shape(self) -> tuple[int, ...]:
-        return (self.out_filters,) if self.kind == "conv2d" else (self.out_size,)
+        return self.weight_shape()[:1]
 
     def param_count(self) -> int:
         return int(np.prod(self.weight_shape())) + int(np.prod(self.bias_shape()))
@@ -91,17 +92,10 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(int(s) for s in self.input_shape))
-        self.output_shapes()  # validates the chain
-        if self.layers:
-            last = self.layers[-1]
-            last_size = (
-                last.out_size if last.kind == "dense"
-                else int(np.prod(self.output_shapes()[-1]))
-            )
-            if last_size != self.n_output:
-                raise ValueError(
-                    f"last layer produces {last_size} values, n_output is {self.n_output}"
-                )
+        shapes = self.output_shapes()  # validates the chain
+        if shapes and math.prod(shapes[-1]) != self.n_output:
+            raise ValueError(f"last layer produces {math.prod(shapes[-1])} "
+                             f"values, n_output is {self.n_output}")
 
     def output_shapes(self) -> list[tuple[int, ...]]:
         """Per-layer output shapes; raises if consecutive layers do not chain."""
@@ -146,9 +140,8 @@ class NetworkSpec:
 
     def layer_multiplications(self) -> list[int]:
         """Multiplications one dense pass performs in each weighted layer
-        (no Flatten row)."""
-        return [static_conv_multiplications(l, s[2], s[1]) if l.kind == "conv2d"
-                else static_dense_multiplications(l)
+        (no Flatten row): its outputs times its fan-in, for either kind."""
+        return [math.prod(s) * math.prod(l.weight_shape()[1:])
                 for l, s in zip(self.layers, self.output_shapes())]
 
     def flatten_index(self) -> int | None:
@@ -229,7 +222,7 @@ def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> WeightSet:
     weights, biases = [], []
     for layer in spec.layers:
         shape = layer.weight_shape()
-        fan_in = int(np.prod(shape[1:])) if layer.kind == "conv2d" else shape[1]
+        fan_in = math.prod(shape[1:])
         std = np.sqrt(2.0 / fan_in) if layer.activation == "relu" else 1.0 / np.sqrt(fan_in)
         weights.append(rng.normal(0.0, std, size=shape))
         biases.append(np.zeros(layer.bias_shape()))
@@ -321,22 +314,6 @@ def forward(spec: NetworkSpec, w: WeightSet, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # static multiplication counting
 # ---------------------------------------------------------------------------
-
-def static_conv_multiplications(layer: LayerSpec, out_x: int, out_y: int) -> int:
-    """Multiplications a full dense inference performs in one conv layer:
-    out_x * out_y * out_filters * kernel_x * kernel_y * in_channels."""
-    if layer.kind != "conv2d":
-        raise ValueError("layer is not conv2d")
-    return (out_x * out_y * layer.out_filters
-            * layer.kernel_x * layer.kernel_y * layer.in_channels)
-
-
-def static_dense_multiplications(layer: LayerSpec) -> int:
-    """Multiplications a full dense inference performs in one dense layer."""
-    if layer.kind != "dense":
-        raise ValueError("layer is not dense")
-    return layer.in_size * layer.out_size
-
 
 @dataclass(frozen=True)
 class StaticCountRow:

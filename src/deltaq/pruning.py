@@ -7,10 +7,16 @@ by absolute value, ties by layer and then C-order flat index, so per-layer
 sparsities diverge naturally. The cumulative masked fraction after
 iteration i tracks 1 - (1-r)^i to within one weight. Masked weights are
 zero after every `apply`, and `training.train` keeps them at +0.0.
+
+The rate and iteration rules are stated once, in `schedule_fraction`, and
+the scope rule once, in `check_scope`; every PrunableWeights runs both
+when it is constructed (`create`, `dataclasses.replace`, the checkpoint
+reader).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +25,14 @@ from .network import NetworkSpec, WeightSet
 
 
 def schedule_fraction(r: float, i: int) -> float:
-    """Cumulative pruned fraction after i iterations at per-iteration rate r."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"rate must be in (0, 1), got {r}")
-    if i < 0:
-        raise ValueError(f"iteration must be >= 0, got {i}")
+    """Cumulative pruned fraction after i iterations at per-iteration rate
+    r: the one statement that r is a real number in (0, 1) and i an integer
+    >= 0 (a bool is neither)."""
+    if (isinstance(r, bool) or not isinstance(r, numbers.Real)
+            or not 0.0 < r < 1.0):
+        raise ValueError(f"rate must be a number in (0, 1), got {r!r}")
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or i < 0:
+        raise ValueError(f"iteration must be an integer >= 0, got {i!r}")
     return 1.0 - (1.0 - r) ** i
 
 
@@ -33,8 +42,11 @@ def default_scope(spec: NetworkSpec) -> tuple[int, ...]:
 
 
 def check_scope(scope: tuple[int, ...], n_layers: int) -> None:
-    """Raise ValueError unless `scope` names distinct layers of an
-    `n_layers`-layer network."""
+    """Raise ValueError unless `scope` is a tuple of integers naming
+    distinct layers of an `n_layers`-layer network."""
+    if not (isinstance(scope, tuple) and all(type(k) is int for k in scope)):
+        raise ValueError(f"scope must be a tuple of integer layer indices, "
+                         f"got {scope!r}")
     if len(set(scope)) < len(scope):
         raise ValueError(f"scope {scope} repeats a layer")
     if not all(0 <= k < n_layers for k in scope):
@@ -44,7 +56,8 @@ def check_scope(scope: tuple[int, ...], n_layers: int) -> None:
 @dataclass
 class PrunableWeights:
     """Live weights plus masks, the archived initialization, and the schedule
-    position. `live` always has masked entries exactly zero after apply()."""
+    position. `live` always has masked entries exactly zero after apply().
+    Every construction checks the live weights, schedule and scope."""
 
     spec: NetworkSpec
     live: WeightSet
@@ -54,14 +67,15 @@ class PrunableWeights:
     iteration: int = 0
     scope: tuple[int, ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        self.live.validate(self.spec)
+        schedule_fraction(self.rate, self.iteration)
+        check_scope(self.scope, len(self.spec.layers))
+
     @classmethod
     def create(cls, spec: NetworkSpec, weights: WeightSet, rate: float,
                scope: tuple[int, ...] | None = None) -> "PrunableWeights":
-        if not 0.0 < rate < 1.0:
-            raise ValueError(f"rate must be in (0, 1), got {rate}")
-        weights.validate(spec)
         scope = tuple(default_scope(spec) if scope is None else scope)
-        check_scope(scope, len(spec.layers))
         masks = [np.ones(l.weight_shape(), dtype=bool) for l in spec.layers]
         return cls(spec=spec, live=weights.copy(), masks=masks,
                    initial=weights.copy(), rate=rate, iteration=0,

@@ -89,6 +89,8 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, state_shape: tuple[int, ...]):
         self.capacity = int(capacity)
+        if self.capacity < 1:
+            raise ValueError(f"replay capacity must be >= 1, got {capacity}")
         self.size = 0
         self.pos = 0
         # No frame is read before it is written, so the ring is left

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deltaq import delta
+from deltaq.config import parse_thresholds
 from deltaq.delta import (DeltaNetwork, OpCounter, conv_event_costs,
                           measure_delta_sparsity)
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet, conv2d_single,
@@ -426,6 +427,16 @@ class TestNonFinite:
         spec, w = random_net(np.random.default_rng(21))
         with pytest.raises(ValueError, match="finite"):
             DeltaNetwork(spec, w, **kwargs)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-1e-3"])
+    def test_config_and_engine_share_the_threshold_rule(self, text):
+        spec, w = random_net(np.random.default_rng(21))
+        with pytest.raises(ValueError) as from_config:
+            parse_thresholds(text)
+        with pytest.raises(ValueError) as from_engine:
+            DeltaNetwork(spec, w, thresholds=float(text))
+        assert str(from_config.value) == str(from_engine.value)
+        assert "finite and >= 0" in str(from_engine.value)
 
     @pytest.mark.parametrize("thresholds", [[0.0] * 5, (0.001,), np.zeros(1),
                                             True])

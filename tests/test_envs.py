@@ -112,3 +112,18 @@ def test_invaders_hits_score():
                 return 2
         return 3
     assert run_policy(env, shooter, 30) > 0.0
+
+
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, True, "40"])
+def test_bad_max_steps_rejected(max_steps):
+    # a cap below 1 would end every episode after its first step
+    with pytest.raises(ValueError, match="max_steps"):
+        make_env("mini-breakout", 0, max_steps=max_steps)
+
+
+def test_zero_episodes_rejected():
+    env = make_env("mini-breakout", seed=0)
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        run_policy(env, follow_ball_policy, 0)
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        random_policy_reward(env, 0)

@@ -3,9 +3,7 @@ import pytest
 
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
                             build_reference_dqn, build_scaled_dqn, forward,
-                            init_weights, static_conv_multiplications,
-                            static_dense_multiplications,
-                            static_network_multiplications)
+                            init_weights, static_network_multiplications)
 from oracles import naive_forward
 
 
@@ -88,25 +86,22 @@ class TestForward:
 
 class TestStaticCounts:
     def test_conv_layers_match_reference(self):
-        spec = build_reference_dqn(4)
-        shapes = spec.output_shapes()
-        expected = [3276800, 2654208, 1806336]
-        for i in range(3):
-            _, oh, ow = shapes[i]
-            assert static_conv_multiplications(spec.layers[i], ow, oh) == expected[i]
+        assert build_reference_dqn(4).layer_multiplications()[:3] == [
+            3276800, 2654208, 1806336]
 
     def test_degenerate_conv(self):
         layer = LayerSpec("conv2d", in_channels=1, out_filters=1, kernel_x=1,
                           kernel_y=1, stride=1)
-        assert static_conv_multiplications(layer, 1, 1) == 1
+        spec = NetworkSpec(layers=(layer,), input_shape=(1, 1, 1), n_output=1)
+        assert spec.layer_multiplications() == [1]
 
     def test_dense_counts(self):
-        assert static_dense_multiplications(
-            LayerSpec("dense", in_size=3136, out_size=512)) == 1605632
-        assert static_dense_multiplications(
-            LayerSpec("dense", in_size=512, out_size=4)) == 2048
-        assert static_dense_multiplications(
-            LayerSpec("dense", in_size=1, out_size=1)) == 1
+        for in_size, out_size, expected in [(3136, 512, 1605632),
+                                            (512, 4, 2048), (1, 1, 1)]:
+            spec = NetworkSpec(
+                layers=(LayerSpec("dense", in_size=in_size, out_size=out_size),),
+                input_shape=(1, 1, in_size), n_output=out_size)
+            assert spec.layer_multiplications() == [expected]
 
     def test_network_total_is_row_sum(self):
         # the fixed per-layer counts sum to 9,345,024 exactly

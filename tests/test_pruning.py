@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from deltaq.network import (LayerSpec, NetworkSpec, WeightSet,
                             build_scaled_dqn, init_weights)
-from deltaq.pruning import (PrunableWeights, prune_step, report_sparsity,
-                            rewind, schedule_fraction)
+from deltaq.pruning import (PrunableWeights, check_scope, prune_step,
+                            report_sparsity, rewind, schedule_fraction)
 
 
 def dense_only_spec(sizes):
@@ -34,6 +36,21 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule_fraction(0.2, -1)
 
+    @pytest.mark.parametrize("r,i,match", [
+        (0.2, 1.5, "iteration"), (0.2, True, "iteration"), ("0.2", 1, "rate"),
+    ])
+    def test_rate_and_iteration_must_be_numbers(self, r, i, match):
+        # a bool is an int, and 1.5 iterations is no point of the schedule
+        with pytest.raises(ValueError, match=match):
+            schedule_fraction(r, i)
+
+
+@pytest.mark.parametrize("scope", [(True,), (0, 1.0), [0], "0"])
+def test_check_scope_rejects_non_integer_indices(scope):
+    # True would otherwise pass as layer 1
+    with pytest.raises(ValueError, match="scope"):
+        check_scope(scope, 3)
+
 
 def make_prunable(rng, sizes=(8, 12, 4), rate=0.2, scope=None):
     spec = dense_only_spec(list(sizes))
@@ -41,6 +58,45 @@ def make_prunable(rng, sizes=(8, 12, 4), rate=0.2, scope=None):
     if scope is None:
         scope = tuple(range(len(spec.layers)))
     return PrunableWeights.create(spec, w, rate=rate, scope=scope)
+
+
+BAD_SCHEDULES = {
+    "rate-above-one": {"rate": 5},
+    "rate-bool": {"rate": True},
+    "iteration-negative": {"iteration": -2},
+    "iteration-fractional": {"iteration": 1.5},
+    "scope-out-of-range": {"scope": (0, 0, 9)},
+    "scope-bool": {"scope": (True,)},
+}
+
+
+class TestConstruction:
+    """Every PrunableWeights checks its own schedule and scope, however it
+    is built."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCHEDULES))
+    def test_direct_construction_rejected(self, case):
+        spec = dense_only_spec([8, 12, 4])
+        w = init_weights(spec, np.random.default_rng(2))
+        fields = dict(spec=spec, live=w.copy(),
+                      masks=[np.ones(l.weight_shape(), dtype=bool)
+                             for l in spec.layers],
+                      initial=w.copy(), rate=0.2, iteration=0, scope=(0,))
+        PrunableWeights(**fields)
+        with pytest.raises(ValueError, match=case.split("-")[0]):
+            PrunableWeights(**{**fields, **BAD_SCHEDULES[case]})
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCHEDULES))
+    def test_replace_rejected(self, case):
+        p = make_prunable(np.random.default_rng(2))
+        with pytest.raises(ValueError, match=case.split("-")[0]):
+            dataclasses.replace(p, **BAD_SCHEDULES[case])
+
+    def test_live_weights_must_fit_the_spec(self):
+        p = make_prunable(np.random.default_rng(2))
+        short = WeightSet(p.live.weights[:1], p.live.biases[:1])
+        with pytest.raises(ValueError, match="weight count"):
+            dataclasses.replace(p, live=short)
 
 
 class TestPruneStep:

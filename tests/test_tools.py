@@ -41,6 +41,19 @@ def test_engine_digest_compare_names_what_moved(tmp_path):
                      "delta-reference T0: trajectory"]
 
 
+def test_engine_digest_compare_rejects_unusable_file(tmp_path):
+    # the file is checked before any engine runs, so no digest is printed
+    missing = tmp_path / "missing.txt"
+    other = tmp_path / "other.txt"
+    other.write_text("delta-desk\tT0\n")
+    for path, message in ((missing, f"cannot read {missing}"),
+                          (other, f"{other}: not a saved output of this tool")):
+        run = run_digest("--compare", str(path))
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert message in run.stderr
+
+
 def test_pipeline_digest_does_not_depend_on_memory_flag():
     # the bit-for-bit claims rest on these digests; --memory only adds a
     # tracemalloc line after them

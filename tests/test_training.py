@@ -127,6 +127,13 @@ MISFITS = pytest.mark.parametrize(
 
 
 class TestReplayBuffer:
+    @pytest.mark.parametrize("capacity", [0, -4])
+    def test_capacity_below_one_rejected(self, capacity):
+        # its first add would take a position modulo zero
+        with pytest.raises(ValueError,
+                           match=f"capacity must be >= 1, got {capacity}"):
+            ReplayBuffer(capacity, (1, 2, 2))
+
     def test_capacity_bound_and_fifo(self):
         buf = ReplayBuffer(5, (1, 2, 2))
         for i in range(8):
